@@ -3,8 +3,10 @@
 //! Compares the cache-blocked `mm_nn` against a naive reference kernel
 //! (a transcription of the pre-blocking implementation, including its
 //! zero-skip branch) at matched shapes, and times the conv1d and
-//! multi-head-attention forward paths. Every record carries a FLOP count
-//! so `--save-json BENCH_nn.json` yields GFLOP/s trajectories.
+//! multi-head-attention forward paths, plus the fused `sdpa` and
+//! `layer_norm` kernels at the shapes one `detect` window group runs.
+//! Every record carries a FLOP count so `--save-json BENCH_nn.json`
+//! yields GFLOP/s trajectories.
 //!
 //!     cargo bench --bench bench_kernels -- --save-json BENCH_nn.json
 
@@ -171,5 +173,63 @@ fn bench_attention(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matmul, bench_conv, bench_attention);
+/// Forward-only `sdpa` and `layer_norm` at the shapes one denoise step
+/// runs over an 8-window group of 38-channel SMD windows: `quick()`
+/// (window 48, hidden 16, 2 heads, so head width 8) along time
+/// (`[8·38·2, 48, 8]`) and across channels (`[8·48·2, 38, 8]`), one
+/// `paper()` window (window 100, 8 heads of width 16) along time, and the
+/// encoder layer norm over `[8·38·48, 16]`.
+fn bench_fused_kernels(c: &mut Criterion) {
+    let mut rng = seeded(17);
+    let mut group = c.benchmark_group("fused");
+    group.sample_size(20);
+    for (name, bh, l, dh) in [
+        ("quick_temporal", 608usize, 48usize, 8usize),
+        ("quick_spatial", 768, 38, 8),
+        ("paper_temporal", 304, 100, 16),
+    ] {
+        let [q, k, v] =
+            [(); 3].map(|_| Tensor::from_vec(filled(bh * l * dh, &mut rng), &[bh, l, dh]).unwrap());
+        let scale = 1.0 / (dh as f32).sqrt();
+        // Q·Kᵀ and the weighted V-sum.
+        group.throughput(Throughput::Flops((4 * bh * l * l * dh) as u64));
+        for t in [1usize, 2, 4, 8] {
+            group.record_threads(t);
+            group.bench_function(format!("sdpa/{name}/{bh}x{l}x{dh}/t{t}"), |bch| {
+                bch.iter(|| {
+                    pool::with_threads(t, || {
+                        imdiff_nn::forward_only(|| {
+                            black_box(Tensor::sdpa(&q, &k, &v, scale));
+                        })
+                    })
+                })
+            });
+        }
+    }
+    let (rows, d) = (14592usize, 16usize);
+    let x = Tensor::from_vec(filled(rows * d, &mut rng), &[rows, d]).unwrap();
+    let gamma = Tensor::from_vec(filled(d, &mut rng), &[d]).unwrap();
+    let beta = Tensor::from_vec(filled(d, &mut rng), &[d]).unwrap();
+    // Sum, centred squares, normalise and affine: about 8 flops a value.
+    group.throughput(Throughput::Flops((8 * rows * d) as u64));
+    group.record_threads(1);
+    group.bench_function(format!("layer_norm/{rows}x{d}/t1"), |bch| {
+        bch.iter(|| {
+            pool::with_threads(1, || {
+                imdiff_nn::forward_only(|| {
+                    black_box(x.layer_norm(&gamma, &beta, 1e-5));
+                })
+            })
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matmul,
+    bench_conv,
+    bench_attention,
+    bench_fused_kernels
+);
 criterion_main!(benches);

@@ -34,84 +34,95 @@ unsafe fn transpose8(t: &mut [std::arch::x86_64::__m256; 8]) {
     t[7] = _mm256_permute2f128_ps(b3, b7, 0x31);
 }
 
-/// Layer norm for the `d == 8` rows the model actually normalizes
-/// ([rows, hidden] with hidden 8): eight rows per pass, transposed so each
-/// lane holds one row and the per-row serial chains run as vertical vector
-/// ops across eight independent rows.
+/// Layer norm on the Avx2Fma tier for any `d % 8 == 0` (tests run 8,
+/// `quick()` 16, `paper()` 128), eight rows per block in three passes:
+/// 1. sum — the block is read as `d / 8` transposed 8×8 tiles, so lane
+///    `r` of every vector belongs to row `r`; the tiles are kept;
+/// 2. centred-square sum over the kept tiles;
+/// 3. normalise + affine, row by row over the untransposed input, with
+///    the row's mean and inverse deviation broadcast.
 ///
-/// Bit-identical to the scalar path by construction: per lane, the mean
-/// and variance sums add elements 0..8 in the same ascending order (mul
-/// then add, no fma — the scalar path does not fuse), the divisions by
-/// `d`, the `sqrt`, and the final `h * g[i] + b[i]` are the same IEEE
-/// operations, and the transposes are pure data movement.
+/// Returns the rows done (a multiple of 8); the caller runs the scalar
+/// loop for the rest.
+///
+/// Bit-identical to the scalar path: per lane, both sums add the row's
+/// elements in ascending order from −0.0 (mul then add, no fma), exactly
+/// as `row_stats` does; the divisions by `d`, the `sqrt` and
+/// `(x − mean) · istd · g[i] + b[i]` are the same IEEE operations, and
+/// the transposes are pure data movement.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. `d` must be a multiple of 8, `x` and `out`
+/// must hold at least `rows · d` values, and `g` and `b` exactly `d`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn layer_norm_rows8_avx2(
+#[target_feature(enable = "avx2")]
+unsafe fn layer_norm_rows_avx2(
     x: &[f32],
     g: &[f32],
     b: &[f32],
     out: &mut [f32],
     rows: usize,
+    d: usize,
     eps: f32,
-) {
+) -> usize {
     use std::arch::x86_64::*;
-    debug_assert!(g.len() == 8 && b.len() == 8);
-    let eightth = _mm256_set1_ps(8.0);
+    debug_assert!(d.is_multiple_of(8) && g.len() == d && b.len() == d);
+    debug_assert!(x.len() >= rows * d && out.len() >= rows * d);
+    let vd = _mm256_set1_ps(d as f32);
     let veps = _mm256_set1_ps(eps);
     let one = _mm256_set1_ps(1.0);
+    // The block's columns, transposed: `cols[i]` holds element `i` of the
+    // eight rows.
+    let mut cols = vec![_mm256_setzero_ps(); d];
+    let (mut means, mut istds) = ([0.0f32; 8], [0.0f32; 8]);
     let mut r = 0;
     while r + 8 <= rows {
-        let base = r * 8;
-        let mut t = [_mm256_setzero_ps(); 8];
-        for (i, slot) in t.iter_mut().enumerate() {
-            *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * 8));
+        let base = r * d;
+        let mut s = _mm256_set1_ps(-0.0);
+        for (c, tile) in cols.chunks_exact_mut(8).enumerate() {
+            for (i, slot) in tile.iter_mut().enumerate() {
+                *slot = _mm256_loadu_ps(x.as_ptr().add(base + i * d + c * 8));
+            }
+            transpose8(tile.try_into().unwrap());
+            for e in tile.iter() {
+                s = _mm256_add_ps(s, *e);
+            }
         }
-        transpose8(&mut t);
-        // mean = ((e0 + e1) + ... + e7) / 8, ascending like `iter().sum()`.
-        let mut s = t[0];
-        for v in &t[1..] {
-            s = _mm256_add_ps(s, *v);
+        let mean = _mm256_div_ps(s, vd);
+        let mut v = _mm256_set1_ps(-0.0);
+        for e in &cols {
+            let c = _mm256_sub_ps(*e, mean);
+            v = _mm256_add_ps(v, _mm256_mul_ps(c, c));
         }
-        let mean = _mm256_div_ps(s, eightth);
-        // var = sum((e - mean)^2) / 8, same ascending order, mul-then-add.
-        let d0 = _mm256_sub_ps(t[0], mean);
-        let mut v = _mm256_mul_ps(d0, d0);
-        for e in &t[1..] {
-            let d = _mm256_sub_ps(*e, mean);
-            v = _mm256_add_ps(v, _mm256_mul_ps(d, d));
-        }
-        let var = _mm256_div_ps(v, eightth);
+        let var = _mm256_div_ps(v, vd);
         let istd = _mm256_div_ps(one, _mm256_sqrt_ps(_mm256_add_ps(var, veps)));
-        for (i, e) in t.iter_mut().enumerate() {
-            let h = _mm256_mul_ps(_mm256_sub_ps(*e, mean), istd);
-            *e = _mm256_add_ps(
-                _mm256_mul_ps(h, _mm256_set1_ps(*g.get_unchecked(i))),
-                _mm256_set1_ps(*b.get_unchecked(i)),
-            );
-        }
-        transpose8(&mut t);
-        for (i, slot) in t.iter().enumerate() {
-            _mm256_storeu_ps(out.as_mut_ptr().add(base + i * 8), *slot);
+        _mm256_storeu_ps(means.as_mut_ptr(), mean);
+        _mm256_storeu_ps(istds.as_mut_ptr(), istd);
+        for (i, (&m, &is)) in means.iter().zip(&istds).enumerate() {
+            let (m, is) = (_mm256_set1_ps(m), _mm256_set1_ps(is));
+            let row = base + i * d;
+            for col in (0..d).step_by(8) {
+                let h = _mm256_mul_ps(
+                    _mm256_sub_ps(_mm256_loadu_ps(x.as_ptr().add(row + col)), m),
+                    is,
+                );
+                let y = _mm256_add_ps(
+                    _mm256_mul_ps(h, _mm256_loadu_ps(g.as_ptr().add(col))),
+                    _mm256_loadu_ps(b.as_ptr().add(col)),
+                );
+                _mm256_storeu_ps(out.as_mut_ptr().add(row + col), y);
+            }
         }
         r += 8;
     }
-    // Scalar tail, identical to the generic path.
-    for row in r..rows {
-        let xr = &x[row * 8..(row + 1) * 8];
-        let mean: f32 = xr.iter().sum::<f32>() / 8.0;
-        let var: f32 = xr.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / 8.0;
-        let istd = 1.0 / (var + eps).sqrt();
-        for i in 0..8 {
-            let h = (xr[i] - mean) * istd;
-            out[row * 8 + i] = h * g[i] + b[i];
-        }
-    }
+    r
 }
 
 impl Tensor {
     /// Numerically stable softmax over the last dimension.
     pub fn softmax_last(&self) -> Tensor {
-    let _sp = crate::obs::span("nn.softmax");
+        let _sp = crate::obs::span("nn.softmax");
         let dims = self.dims();
         assert!(!dims.is_empty(), "softmax requires >=1-D");
         let d = dims[dims.len() - 1];
@@ -179,7 +190,7 @@ impl Tensor {
     ///
     /// `gamma` and `beta` must be 1-D of the last-dim size.
     pub fn layer_norm(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-    let _sp = crate::obs::span("nn.layer_norm");
+        let _sp = crate::obs::span("nn.layer_norm");
         let dims = self.dims();
         let d = dims[dims.len() - 1];
         assert_eq!(gamma.dims(), &[d], "layer_norm gamma shape");
@@ -198,23 +209,22 @@ impl Tensor {
             let g = gamma.data();
             let b = beta.data();
             #[cfg(target_arch = "x86_64")]
-            let fast = d == 8 && crate::simd::tier() == crate::simd::Tier::Avx2Fma;
-            #[cfg(not(target_arch = "x86_64"))]
-            let fast = false;
-            if fast {
-                #[cfg(target_arch = "x86_64")]
-                // Safety: gated on the Avx2Fma tier.
-                unsafe {
-                    layer_norm_rows8_avx2(&x, &g, &b, &mut out, rows, eps)
-                };
+            let done = if d.is_multiple_of(8) && crate::simd::tier() == crate::simd::Tier::Avx2Fma {
+                // Safety: gated on the Avx2Fma tier and on `d % 8 == 0`;
+                // `x` and `out` hold `rows · d` values, `g` and `b` `d`
+                // (the shape asserts above).
+                unsafe { layer_norm_rows_avx2(&x, &g, &b, &mut out, rows, d, eps) }
             } else {
-                for r in 0..rows {
-                    let row = &x[r * d..(r + 1) * d];
-                    let (mean, istd) = row_stats(row, d, eps);
-                    for i in 0..d {
-                        let h = (row[i] - mean) * istd;
-                        out[r * d + i] = h * g[i] + b[i];
-                    }
+                0
+            };
+            #[cfg(not(target_arch = "x86_64"))]
+            let done = 0;
+            for r in done..rows {
+                let row = &x[r * d..(r + 1) * d];
+                let (mean, istd) = row_stats(row, d, eps);
+                for i in 0..d {
+                    let h = (row[i] - mean) * istd;
+                    out[r * d + i] = h * g[i] + b[i];
                 }
             }
         }
@@ -380,30 +390,42 @@ mod tests {
         }
     }
 
-    /// The d=8 AVX2 fast path must be bit-identical to the scalar code it
-    /// bypasses (the transposes are pure data movement and every lane runs
-    /// the scalar chain in the same order — this pins that claim).
+    /// The Avx2Fma kernel must be bit-identical to the scalar `row_stats`
+    /// loop it bypasses, at every width it takes (`d % 8 == 0`) and for row
+    /// counts that leave a scalar tail. A row of −0.0 (with a −0.0 beta
+    /// entry, so the sign of that row's mean reaches the output) and a
+    /// constant row pin the signed-zero and zero-variance edge cases.
     #[test]
-    fn layer_norm_d8_fast_path_matches_scalar_bits() {
+    fn layer_norm_avx2_matches_scalar_bits() {
         use crate::simd::{self, with_tier, Tier};
         if !simd::avx2_available() {
             return;
         }
         let mut rng = crate::rng::seeded(41);
-        // 19 rows: two full 8-row passes plus a 3-row scalar tail.
-        let x = Tensor::randn(&mut rng, &[19, 8]);
-        let gamma = Tensor::randn(&mut rng, &[8]);
-        let beta = Tensor::randn(&mut rng, &[8]);
-        let fast = with_tier(Tier::Avx2Fma, || {
-            x.layer_norm(&gamma, &beta, 1e-5).to_vec()
-        });
-        let scalar = with_tier(Tier::Scalar, || {
-            x.layer_norm(&gamma, &beta, 1e-5).to_vec()
-        });
-        assert_eq!(
-            fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        for d in [8usize, 16, 24, 128] {
+            for rows in [1usize, 7, 19, 37] {
+                let mut xs = Tensor::randn(&mut rng, &[rows, d]).to_vec();
+                if rows > 8 {
+                    xs[..d].iter_mut().for_each(|v| *v = -0.0);
+                    xs[d..2 * d].iter_mut().for_each(|v| *v = 3.5);
+                }
+                let x = Tensor::from_vec(xs, &[rows, d]).unwrap();
+                let gamma = Tensor::randn(&mut rng, &[d]);
+                let mut bs = Tensor::randn(&mut rng, &[d]).to_vec();
+                bs[0] = -0.0;
+                let beta = Tensor::from_vec(bs, &[d]).unwrap();
+                let run = |t: Tier| {
+                    with_tier(t, || {
+                        x.layer_norm(&gamma, &beta, 1e-5)
+                            .to_vec()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    })
+                };
+                assert_eq!(run(Tier::Avx2Fma), run(Tier::Scalar), "d={d} rows={rows}");
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Fused scaled-dot-product attention (inference only).
 //!
-//! `softmax(scale · Q Kᵀ) V` computed row by row without materializing the
-//! `[L, L]` score matrix, its softmax, or the transposed K — the three
+//! `softmax(scale · Q Kᵀ) V` computed a few query rows at a time without
+//! materializing the `[L, L]` score matrix or its softmax — the
 //! intermediates the unfused `layers::attention` path allocates per head.
-//! One query row's scores live in a single reused `L`-vector; the weighted
-//! V-sum accumulates straight into the output row.
+//! Score rows live in reused per-worker scratch (four padded rows plus a
+//! transposed K on Avx2Fma, one row on Scalar); the weighted V-sum
+//! accumulates straight into the output rows.
 //!
 //! The op is forward-only by design: training keeps the unfused graph path
 //! (which records per-op backward closures), inference — tape or tape-free,
@@ -20,44 +21,43 @@ use crate::tensor::Tensor;
 /// FLOPs below which one `[L, Dh]` block is not worth a worker.
 const MIN_PAR_FLOPS: usize = 1 << 19;
 
-#[inline]
-fn dot(simd_on: bool, x: &[f32], y: &[f32]) -> f32 {
-    if simd_on {
-        // Safety: callers set `simd_on` only under the Avx2Fma tier.
-        unsafe { simd::dot_avx2(x, y) }
-    } else {
-        let mut s = 0.0f32;
-        for (a, b) in x.iter().zip(y) {
-            s += a * b;
-        }
-        s
-    }
-}
-
-/// Fused attention for one `[L, Dh]` block with `Dh < 8` — the shape the
-/// ImTransformer actually runs at (hidden 8, 2 heads → Dh 4), where the
-/// generic path drowns in per-call overhead: 2·L² calls into length-4
-/// `dot_avx2`/`axpy_avx2` across the `#[target_feature]` boundary, each
-/// doing a wasted horizontal reduction before its scalar tail.
+/// Fused attention for one `[L, Dh]` block on the Avx2Fma tier, for any
+/// head width (tests run `Dh` 4, `quick()` 8, `paper()` 16). Lanes run
+/// over keys: `kt` is a `dh × lp` transpose of K (lp = L padded to 8), so
+/// one vector holds a Q·K dot for eight keys at once, and four query rows
+/// share every K and V load.
 ///
-/// Bit-identical to the generic Avx2Fma path by construction:
-/// * scores — each lane `j` runs the same ascending-`d` scalar `mul_add`
-///   chain (`s = fma(q_d, k_jd, s)`) that `dot_avx2`'s tail loop runs for
-///   a length-<8 dot (the vector loop contributes exactly +0.0 there),
-///   then multiplies by `scale`;
-/// * softmax — the caller's code, untouched (same `vexp_avx2` slice);
-/// * V-sum — each lane `d` runs the same ascending-`j` `fma(alpha, v_jd,
-///   acc)` chain as `axpy_avx2`'s tail into a zeroed output row.
+/// Every element follows the arithmetic of an 8-wide fma dot product and
+/// an 8-wide fma axpy, so the result does not depend on how rows, keys or
+/// blocks are grouped:
+/// * scores — per key lane and per chunk position `p` in `0..8`, an fma
+///   chain `a_p = fma(q[8c+p], k[8c+p], a_p)` over the `dh / 8` full
+///   chunks from +0.0; then the horizontal-sum tree
+///   `((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7))` as vertical adds; then the
+///   ascending scalar-order fma tail over the last `dh % 8` elements;
+///   then `scale ·`. For `dh < 8` the chunk chains are empty and the tree
+///   is +0.0, so only the tail chain remains;
+/// * softmax — the same per-element steps as `softmax_last` on this tier:
+///   ascending max, subtract, `vexp_avx2`, ascending sum, `p · (1/sum)`;
+/// * V-sum — per output element, an ascending-`j` chain
+///   `o = fma(alpha_j, v_jd, o)` from +0.0, held in `ceil(dh/8)`
+///   accumulators per row with the last one masked.
 ///
-/// `kt` is a `dh × lp` scratch transpose of K (lp = L padded to 8) so the
-/// score lanes can stream keys column-major; padded lanes hold zeros and
-/// their scores are never read (`srow[..l]` slicing, as before).
+/// Padded key lanes of `kt` hold zeros; their scores are never read.
+/// `srow` holds four padded score rows (`4 · lp`).
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA (the Avx2Fma tier). `qb`, `vb` and
+/// `ob` must hold `l · dh` values, `kt` at least `dh · lp` and `srow` at
+/// least `4 · lp`, with `l ≥ 1` and `lp` a multiple of 8 that is at
+/// least `l`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn sdpa_block_smalldh(
+unsafe fn sdpa_block_avx2(
     qb: &[f32],
-    kt: &mut [f32],
+    kt: &[f32],
     vb: &[f32],
     ob: &mut [f32],
     srow: &mut [f32],
@@ -67,95 +67,122 @@ unsafe fn sdpa_block_smalldh(
     scale: f32,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(dh < 8 && lp.is_multiple_of(8) && srow.len() >= 4 * lp && kt.len() >= dh * lp);
+    debug_assert!(l > 0 && lp >= l && lp.is_multiple_of(8));
+    debug_assert!(qb.len() == l * dh && vb.len() == l * dh && ob.len() == l * dh);
+    debug_assert!(srow.len() >= 4 * lp && kt.len() >= dh * lp);
     let nv = lp / 8;
-    // Lane mask for the Dh-wide masked loads/stores on the V side.
-    let mask = {
+    let full = dh / 8;
+    let vscale = _mm256_set1_ps(scale);
+    // Masks for the V-side chunks: all lanes, except the last chunk when
+    // `dh % 8 != 0`.
+    let lanes = |n: usize| {
         let mut m = [0i32; 8];
-        for slot in m.iter_mut().take(dh) {
+        for slot in m.iter_mut().take(n) {
             *slot = -1;
         }
-        _mm256_loadu_si256(m.as_ptr() as *const __m256i)
+        m
     };
-    // Four query rows per pass: each row's fma chains are serial by
-    // construction (the arithmetic order is the contract), so the only
-    // way to fill the FMA pipes is independent chains from independent
-    // rows — which also lets one K/V load feed four rows.
+    let (all, tail) = (lanes(8), lanes(dh % 8));
+    let all = _mm256_loadu_si256(all.as_ptr() as *const __m256i);
+    let tail = _mm256_loadu_si256(tail.as_ptr() as *const __m256i);
+    // Four query rows per pass: each element's chain is serial by
+    // construction (its order is the contract), so independent rows are
+    // what fills the FMA pipes. A short last pass repeats its final row in
+    // the spare slots, keeping every loop bound constant; only real rows
+    // are stored.
     let mut i = 0;
     while i < l {
         let nr = 4.min(l - i);
-        // scores: lanes over j, ascending-d fma chain per lane and row.
+        let qrow = [0, 1, 2, 3].map(|r| qb.as_ptr().add((i + r.min(nr - 1)) * dh));
         for v in 0..nv {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            for d in 0..dh {
-                let kv = _mm256_loadu_ps(kt.as_ptr().add(d * lp + v * 8));
-                for (r, a) in acc.iter_mut().enumerate().take(nr) {
-                    let qd = _mm256_set1_ps(*qb.get_unchecked((i + r) * dh + d));
-                    *a = _mm256_fmadd_ps(qd, kv, *a);
+            let kcol = kt.as_ptr().add(v * 8);
+            let mut s = [_mm256_setzero_ps(); 4];
+            if full > 0 {
+                // half[p] = a_p + a_{p+4}, the tree's first level.
+                let mut half = [[_mm256_setzero_ps(); 4]; 4];
+                for (p, hp) in half.iter_mut().enumerate() {
+                    let mut lo = [_mm256_setzero_ps(); 4];
+                    let mut hi = [_mm256_setzero_ps(); 4];
+                    for c in 0..full {
+                        let (d0, d4) = (c * 8 + p, c * 8 + p + 4);
+                        let k0 = _mm256_loadu_ps(kcol.add(d0 * lp));
+                        let k4 = _mm256_loadu_ps(kcol.add(d4 * lp));
+                        for r in 0..4 {
+                            lo[r] = _mm256_fmadd_ps(_mm256_set1_ps(*qrow[r].add(d0)), k0, lo[r]);
+                            hi[r] = _mm256_fmadd_ps(_mm256_set1_ps(*qrow[r].add(d4)), k4, hi[r]);
+                        }
+                    }
+                    for r in 0..4 {
+                        hp[r] = _mm256_add_ps(lo[r], hi[r]);
+                    }
+                }
+                for (r, sr) in s.iter_mut().enumerate() {
+                    *sr = _mm256_add_ps(
+                        _mm256_add_ps(half[0][r], half[2][r]),
+                        _mm256_add_ps(half[1][r], half[3][r]),
+                    );
                 }
             }
-            let vscale = _mm256_set1_ps(scale);
-            for (r, a) in acc.iter().enumerate().take(nr) {
+            for d in full * 8..dh {
+                let kd = _mm256_loadu_ps(kcol.add(d * lp));
+                for (r, sr) in s.iter_mut().enumerate() {
+                    *sr = _mm256_fmadd_ps(_mm256_set1_ps(*qrow[r].add(d)), kd, *sr);
+                }
+            }
+            for (r, sr) in s.iter().enumerate() {
                 _mm256_storeu_ps(
                     srow.as_mut_ptr().add(r * lp + v * 8),
-                    _mm256_mul_ps(vscale, *a),
+                    _mm256_mul_ps(vscale, *sr),
                 );
             }
         }
-        // Softmax per row: identical per-element arithmetic to the generic
-        // path, but the four rows' (serial) max/sum fold chains run
-        // interleaved, and the exp runs as one call over all four padded
-        // rows — `exp_ps` is lane-independent, so padding lanes change
-        // nothing for the real elements. Each row's fold still walks its
-        // elements in ascending order.
+        // Softmax per row. The four rows' serial max/sum folds run
+        // interleaved (each still ascending over its own elements), and
+        // one `vexp_avx2` covers all four padded rows — exp is
+        // lane-independent, so padding changes nothing for real elements.
         let mut maxs = [f32::NEG_INFINITY; 4];
         for j in 0..l {
-            for (r, m) in maxs.iter_mut().enumerate().take(nr) {
+            for (r, m) in maxs.iter_mut().enumerate() {
                 *m = m.max(*srow.get_unchecked(r * lp + j));
             }
         }
-        for (r, &m) in maxs.iter().enumerate().take(nr) {
+        for (r, &m) in maxs.iter().enumerate() {
             let vm = _mm256_set1_ps(m);
             for v in 0..nv {
                 let p = srow.as_mut_ptr().add(r * lp + v * 8);
                 _mm256_storeu_ps(p, _mm256_sub_ps(_mm256_loadu_ps(p), vm));
             }
         }
-        simd::vexp_avx2(&mut srow[..nr * lp]);
-        let mut inv = [0.0f32; 4];
+        simd::vexp_avx2(&mut srow[..4 * lp]);
+        let mut sums = [0.0f32; 4];
         for j in 0..l {
-            for (r, acc) in inv.iter_mut().enumerate().take(nr) {
+            for (r, acc) in sums.iter_mut().enumerate() {
                 *acc += *srow.get_unchecked(r * lp + j);
             }
         }
-        for acc in inv.iter_mut().take(nr) {
-            *acc = 1.0 / *acc;
-        }
-        // V-sum: one masked accumulator register per row, shared V loads.
-        let mut out = [_mm256_setzero_ps(); 4];
-        for j in 0..l {
-            let vj = _mm256_maskload_ps(vb.as_ptr().add(j * dh), mask);
-            for (r, o) in out.iter_mut().enumerate().take(nr) {
-                let alpha = *srow.get_unchecked(r * lp + j) * inv[r];
-                *o = _mm256_fmadd_ps(_mm256_set1_ps(alpha), vj, *o);
+        for (r, &sum) in sums.iter().enumerate() {
+            let inv = 1.0 / sum;
+            for p in srow[r * lp..r * lp + l].iter_mut() {
+                *p *= inv;
             }
         }
-        for (r, o) in out.iter().enumerate().take(nr) {
-            _mm256_maskstore_ps(ob.as_mut_ptr().add((i + r) * dh), mask, *o);
+        // V-sum, one 8-wide column chunk at a time: one accumulator per
+        // row, shared V loads.
+        for c in 0..dh.div_ceil(8) {
+            let mask = if c < full { all } else { tail };
+            let mut o = [_mm256_setzero_ps(); 4];
+            for j in 0..l {
+                let vj = _mm256_maskload_ps(vb.as_ptr().add(j * dh + c * 8), mask);
+                for (r, or) in o.iter_mut().enumerate() {
+                    let alpha = _mm256_set1_ps(*srow.get_unchecked(r * lp + j));
+                    *or = _mm256_fmadd_ps(alpha, vj, *or);
+                }
+            }
+            for (r, or) in o.iter().enumerate().take(nr) {
+                _mm256_maskstore_ps(ob.as_mut_ptr().add((i + r) * dh + c * 8), mask, *or);
+            }
         }
         i += nr;
-    }
-}
-
-#[inline]
-fn axpy(simd_on: bool, alpha: f32, x: &[f32], y: &mut [f32]) {
-    if simd_on {
-        // Safety: callers set `simd_on` only under the Avx2Fma tier.
-        unsafe { simd::axpy_avx2(alpha, x, y) }
-    } else {
-        for (yv, &xv) in y.iter_mut().zip(x) {
-            *yv += alpha * xv;
-        }
     }
 }
 
@@ -185,22 +212,20 @@ impl Tensor {
         let (bh, l, dh) = (qd[0], qd[1], qd[2]);
 
         let _kernel = crate::obs::span("nn.sdpa");
-        let simd_on = simd::tier() == Tier::Avx2Fma;
+        let simd_on = simd::tier() == Tier::Avx2Fma && cfg!(target_arch = "x86_64");
         let mut out = crate::arena::zeroed(bh * l * dh);
         {
             let (qr, kr, vr) = (q.data(), k.data(), v.data());
             let (qs, ks, vs): (&[f32], &[f32], &[f32]) = (&qr, &kr, &vr);
             let block = l * dh;
             let grain = MIN_PAR_FLOPS.div_ceil((4 * l * block).max(1)).max(1);
-            // The Dh<8 fast path needs L padded to full vectors plus a
-            // K-transpose scratch; both are reused across the chunk.
+            // The Avx2Fma kernel needs L padded to full vectors, four score
+            // rows and a K-transpose scratch; all are reused across the
+            // chunk (padded key lanes of `kt` stay zero).
             let lp = l.next_multiple_of(8);
-            let small_dh = simd_on && dh < 8 && cfg!(target_arch = "x86_64");
             pool::parallel_slices_mut(&mut out, block, grain, |b0, blocks| {
-                // One score row, reused across every query in the chunk
-                // (padded so the fast path can store whole vectors).
-                let mut srow = vec![0.0f32; if small_dh { 4 * lp } else { lp }];
-                let mut kt = vec![0.0f32; if small_dh { dh * lp } else { 0 }];
+                let mut srow = vec![0.0f32; if simd_on { 4 * lp } else { l }];
+                let mut kt = vec![0.0f32; if simd_on { dh * lp } else { 0 }];
                 for (off, ob) in blocks.chunks_mut(block).enumerate() {
                     let base = (b0 + off) * block;
                     let (qb, kb, vb) = (
@@ -209,48 +234,43 @@ impl Tensor {
                         &vs[base..base + block],
                     );
                     #[cfg(target_arch = "x86_64")]
-                    if small_dh {
+                    if simd_on {
                         for (j, krow) in kb.chunks_exact(dh).enumerate() {
                             for (d, &kv) in krow.iter().enumerate() {
                                 kt[d * lp + j] = kv;
                             }
                         }
-                        // Safety: small_dh holds only under the Avx2Fma tier.
-                        unsafe {
-                            sdpa_block_smalldh(qb, &mut kt, vb, ob, &mut srow, l, dh, lp, scale);
-                        }
+                        // Safety: simd_on holds only under the Avx2Fma tier;
+                        // the block slices are `l · dh` long and the scratch
+                        // sizes match `lp`, which pads `l` to a multiple of 8.
+                        unsafe { sdpa_block_avx2(qb, &kt, vb, ob, &mut srow, l, dh, lp, scale) };
                         continue;
                     }
+                    // Scalar tier: the same stable-softmax arithmetic as
+                    // `softmax_last` on this tier, one query row at a time.
                     for i in 0..l {
                         let qrow = &qb[i * dh..(i + 1) * dh];
-                        for (j, s) in srow[..l].iter_mut().enumerate() {
-                            *s = scale * dot(simd_on, qrow, &kb[j * dh..(j + 1) * dh]);
+                        for (j, s) in srow.iter_mut().enumerate() {
+                            let mut acc = 0.0f32;
+                            for (a, b) in qrow.iter().zip(&kb[j * dh..(j + 1) * dh]) {
+                                acc += a * b;
+                            }
+                            *s = scale * acc;
                         }
-                        // Same stable-softmax arithmetic as `softmax_last`
-                        // on the matching tier (vectorized exp on Avx2Fma,
-                        // libm on Scalar; sum order is identical in both).
-                        let max = srow[..l].iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                        let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                         let mut sum = 0.0f32;
-                        if simd_on {
-                            for s in srow[..l].iter_mut() {
-                                *s -= max;
-                            }
-                            // Safety: simd_on holds only under Avx2Fma.
-                            unsafe { simd::vexp_avx2(&mut srow[..l]) };
-                            for &e in srow[..l].iter() {
-                                sum += e;
-                            }
-                        } else {
-                            for s in srow[..l].iter_mut() {
-                                let e = (*s - max).exp();
-                                *s = e;
-                                sum += e;
-                            }
+                        for s in srow.iter_mut() {
+                            let e = (*s - max).exp();
+                            *s = e;
+                            sum += e;
                         }
                         let inv = 1.0 / sum;
                         let orow = &mut ob[i * dh..(i + 1) * dh];
-                        for (j, &p) in srow[..l].iter().enumerate() {
-                            axpy(simd_on, p * inv, &vb[j * dh..(j + 1) * dh], orow);
+                        for (j, &p) in srow.iter().enumerate() {
+                            let alpha = p * inv;
+                            for (o, &x) in orow.iter_mut().zip(&vb[j * dh..(j + 1) * dh]) {
+                                *o += alpha * x;
+                            }
                         }
                     }
                 }
@@ -320,62 +340,97 @@ mod tests {
         }
     }
 
-    /// The Dh<8 fast path must be bit-identical to the generic Avx2Fma
-    /// path it replaces. The generic arithmetic for a short dot is the
-    /// scalar `mul_add` tail (the vector loop contributes +0.0), softmax
-    /// goes through `vexp_avx2`, and the V-sum is an ascending-`j`
-    /// `mul_add` chain per output element — emulated here exactly.
+    /// An 8-wide fma dot product, lane by lane: per chunk position `p`
+    /// an fma chain over the full chunks, the horizontal-sum tree, then
+    /// the ascending `mul_add` tail.
+    fn dot8_emulated(x: &[f32], y: &[f32]) -> f32 {
+        let full = x.len() / 8;
+        let mut a = [0.0f32; 8];
+        for c in 0..full {
+            for (p, ap) in a.iter_mut().enumerate() {
+                *ap = x[c * 8 + p].mul_add(y[c * 8 + p], *ap);
+            }
+        }
+        let mut sum = ((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7]));
+        for j in full * 8..x.len() {
+            sum = x[j].mul_add(y[j], sum);
+        }
+        sum
+    }
+
+    /// An 8-wide fma axpy: `y[i] = fma(alpha, x[i], y[i])` for every
+    /// element, vector body and scalar tail alike.
+    fn axpy8_emulated(alpha: f32, x: &[f32], y: &mut [f32]) {
+        for (yv, &xv) in y.iter_mut().zip(x) {
+            *yv = alpha.mul_add(xv, *yv);
+        }
+    }
+
+    /// The Avx2Fma kernel against a per-row emulation of its contract:
+    /// scores from [`dot8_emulated`], softmax through `vexp_avx2` with
+    /// ascending max and sum, the V-sum from [`axpy8_emulated`] into a
+    /// zeroed row. Bit for bit, over head widths below, at and above one
+    /// vector (with and without a tail), lengths that do and do not fill
+    /// a 4-row pass or an 8-key vector, and several thread counts.
     #[test]
-    fn smalldh_fast_path_matches_generic_arithmetic() {
+    fn avx2_kernel_matches_dot_axpy_arithmetic() {
         if !simd::avx2_available() {
             return;
         }
         let mut rng = seeded(13);
-        for &(bh, l, dh) in &[(3usize, 16usize, 4usize), (2, 19, 4), (1, 5, 2), (4, 24, 6)] {
-            let q = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let k = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let v = Tensor::randn(&mut rng, &[bh, l, dh]);
-            let scale = 1.0 / (dh as f32).sqrt();
-            let got = with_tier(Tier::Avx2Fma, || Tensor::sdpa(&q, &k, &v, scale).to_vec());
-            let (qd, kd, vd) = (q.to_vec(), k.to_vec(), v.to_vec());
-            let block = l * dh;
-            let mut want = vec![0.0f32; bh * block];
-            for b in 0..bh {
-                let (qb, kb, vb) = (
-                    &qd[b * block..(b + 1) * block],
-                    &kd[b * block..(b + 1) * block],
-                    &vd[b * block..(b + 1) * block],
-                );
-                let ob = &mut want[b * block..(b + 1) * block];
-                let mut srow = vec![0.0f32; l];
-                for i in 0..l {
-                    for (j, s) in srow.iter_mut().enumerate() {
-                        let mut acc = 0.0f32;
-                        for d in 0..dh {
-                            acc = qb[i * dh + d].mul_add(kb[j * dh + d], acc);
+        for dh in [1usize, 4, 5, 8, 12, 16] {
+            for l in [1usize, 7, 38, 48] {
+                // Enough blocks that 2 and 3 threads really split them.
+                let bh = 24;
+                let q = Tensor::randn(&mut rng, &[bh, l, dh]);
+                let k = Tensor::randn(&mut rng, &[bh, l, dh]);
+                let v = Tensor::randn(&mut rng, &[bh, l, dh]);
+                let scale = 1.0 / (dh as f32).sqrt();
+                let (qd, kd, vd) = (q.to_vec(), k.to_vec(), v.to_vec());
+                let block = l * dh;
+                let mut want = vec![0.0f32; bh * block];
+                for b in 0..bh {
+                    let (qb, kb, vb) = (
+                        &qd[b * block..(b + 1) * block],
+                        &kd[b * block..(b + 1) * block],
+                        &vd[b * block..(b + 1) * block],
+                    );
+                    let ob = &mut want[b * block..(b + 1) * block];
+                    let mut srow = vec![0.0f32; l];
+                    for i in 0..l {
+                        let qrow = &qb[i * dh..(i + 1) * dh];
+                        for (j, s) in srow.iter_mut().enumerate() {
+                            *s = scale * dot8_emulated(qrow, &kb[j * dh..(j + 1) * dh]);
                         }
-                        *s = scale * acc;
-                    }
-                    let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    for s in srow.iter_mut() {
-                        *s -= max;
-                    }
-                    // Safety: guarded by avx2_available above.
-                    unsafe { simd::vexp_avx2(&mut srow) };
-                    let mut sum = 0.0f32;
-                    for &e in srow.iter() {
-                        sum += e;
-                    }
-                    let inv = 1.0 / sum;
-                    for (j, &p) in srow.iter().enumerate() {
-                        for d in 0..dh {
-                            ob[i * dh + d] =
-                                (p * inv).mul_add(vb[j * dh + d], ob[i * dh + d]);
+                        let max = srow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                        for s in srow.iter_mut() {
+                            *s -= max;
+                        }
+                        // Safety: guarded by avx2_available above.
+                        unsafe { simd::vexp_avx2(&mut srow) };
+                        let mut sum = 0.0f32;
+                        for &e in srow.iter() {
+                            sum += e;
+                        }
+                        let inv = 1.0 / sum;
+                        for (j, &p) in srow.iter().enumerate() {
+                            axpy8_emulated(
+                                p * inv,
+                                &vb[j * dh..(j + 1) * dh],
+                                &mut ob[i * dh..(i + 1) * dh],
+                            );
                         }
                     }
                 }
+                let want: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+                for t in [1usize, 2, 3] {
+                    let got = with_tier(Tier::Avx2Fma, || {
+                        with_threads(t, || Tensor::sdpa(&q, &k, &v, scale).to_vec())
+                    });
+                    let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "dh={dh} l={l} threads={t}");
+                }
             }
-            assert_eq!(got, want, "bh={bh} l={l} dh={dh}");
         }
     }
 

@@ -229,55 +229,6 @@ pub(crate) unsafe fn mm_rows_avx2(
     }
 }
 
-/// Fixed-order dot product `Σ x[i]·y[i]` (vector lanes reduced in a fixed
-/// tree, scalar tail folded in last). Deterministic for a given input.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
-    use std::arch::x86_64::*;
-
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let chunks = n / 8;
-    let mut acc = _mm256_setzero_ps();
-    for c in 0..chunks {
-        let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-        let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
-        acc = _mm256_fmadd_ps(vx, vy, acc);
-    }
-    // Horizontal reduction: lanes (0+4)(1+5)(2+6)(3+7) → pairs → scalar.
-    let hi = _mm256_extractf128_ps(acc, 1);
-    let lo = _mm256_castps256_ps128(acc);
-    let s4 = _mm_add_ps(lo, hi);
-    let s2 = _mm_add_ps(s4, _mm_movehl_ps(s4, s4));
-    let s1 = _mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 1));
-    let mut sum = _mm_cvtss_f32(s1);
-    for j in chunks * 8..n {
-        sum = x.get_unchecked(j).mul_add(*y.get_unchecked(j), sum);
-    }
-    sum
-}
-
-/// `y[i] += alpha · x[i]`, vectorized with a scalar tail.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
-    use std::arch::x86_64::*;
-
-    debug_assert_eq!(x.len(), y.len());
-    let n = x.len();
-    let chunks = n / 8;
-    let va = _mm256_set1_ps(alpha);
-    for c in 0..chunks {
-        let vx = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-        let vy = _mm256_loadu_ps(y.as_ptr().add(c * 8));
-        _mm256_storeu_ps(y.as_mut_ptr().add(c * 8), _mm256_fmadd_ps(va, vx, vy));
-    }
-    for j in chunks * 8..n {
-        *y.get_unchecked_mut(j) = alpha.mul_add(*x.get_unchecked(j), *y.get_unchecked(j));
-    }
-}
-
 /// 8-lane `exp` (Cephes-style degree-5 polynomial with split-constant
 /// range reduction, ~1 ulp over the clamped range). Each lane depends only
 /// on its own input, so results are position- and thread-independent. NaN
@@ -461,16 +412,6 @@ pub(crate) unsafe fn mm_rows_avx2(
     unreachable!("avx2 kernel dispatched on non-x86_64");
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) unsafe fn dot_avx2(_x: &[f32], _y: &[f32]) -> f32 {
-    unreachable!("avx2 kernel dispatched on non-x86_64");
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-pub(crate) unsafe fn axpy_avx2(_alpha: f32, _x: &[f32], _y: &mut [f32]) {
-    unreachable!("avx2 kernel dispatched on non-x86_64");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,25 +469,6 @@ mod tests {
                 let tol = 1e-4 * want.abs().max(1.0);
                 assert!((got - want).abs() <= tol, "{got} vs {want}");
             }
-        }
-    }
-
-    #[test]
-    fn dot_and_axpy_match_scalar() {
-        if !avx2_available() {
-            return;
-        }
-        let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
-        let y: Vec<f32> = (0..37).map(|i| (i as f32 * 0.53).cos()).collect();
-        let want: f32 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let got = unsafe { dot_avx2(&x, &y) };
-        assert!((got - want).abs() <= 1e-4 * want.abs().max(1.0));
-
-        let mut acc = y.clone();
-        unsafe { axpy_avx2(0.7, &x, &mut acc) };
-        for ((a, &xv), &yv) in acc.iter().zip(&x).zip(&y) {
-            let want = 0.7 * xv + yv;
-            assert!((a - want).abs() <= 1e-5);
         }
     }
 
