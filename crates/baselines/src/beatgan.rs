@@ -5,14 +5,15 @@
 //! The anomaly score is the per-timestamp reconstruction error.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::{backward, no_grad, Tensor};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PayloadReader,
-    PayloadWriter, PointScores,
+    batch_windows, coverage_starts, put_tensors, require_len, rng_for, sample_starts, take_tensors,
+    NormState, PointScores,
 };
 
 const WINDOW: usize = 24;
@@ -104,22 +105,22 @@ impl BeatGan {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
-        w.tensors(&st.ae.params());
-        Ok(w.finish())
+        put_tensors(&mut w, &st.ae.params());
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     /// The module skeleton is reconstructed from seed + channel count and
     /// the stored weights overwrite the fresh initialization.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0xbea7);
         let ae = AutoEncoder::new(&mut rng, WINDOW * norm.channels);
-        r.tensors_into(&ae.params())?;
-        r.expect_end()?;
+        take_tensors(&mut r, &ae.params())?;
+        r.finish()?;
         Ok(BeatGan {
             seed,
             state: Some(Fitted { norm, ae }),

@@ -7,14 +7,15 @@
 //! forecast deviation — the scoring rule of the original paper.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{init, no_grad, Tensor};
 
 use crate::common::{
-    batch_windows, corrupt, require_len, rng_for, run_training, sample_starts, NormState,
-    PayloadReader, PayloadWriter,
+    batch_windows, corrupt, put_tensors, require_len, rng_for, run_training, sample_starts,
+    take_tensors, NormState,
 };
 
 const WINDOW: usize = 12;
@@ -176,9 +177,9 @@ impl Gdn {
     /// both must travel with the weights.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
-        w.tensors(&st.model.params());
+        put_tensors(&mut w, &st.model.params());
         w.u32(st.model.neighbours.len() as u32);
         for ns in &st.model.neighbours {
             for &n in ns {
@@ -186,17 +187,17 @@ impl Gdn {
             }
         }
         w.f64s(&st.err_scale);
-        Ok(w.finish())
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let k = norm.channels;
         let mut rng = rng_for(seed, 0x6d4);
         let model = Model::new(&mut rng, k, vec![vec![0; TOP_K]; k]);
-        r.tensors_into(&model.params())?;
+        take_tensors(&mut r, &model.params())?;
         let mut model = model;
         let n_sensors = r.u32()? as usize;
         if n_sensors != k {
@@ -215,7 +216,7 @@ impl Gdn {
         if err_scale.len() != k || err_scale.iter().any(|&e| !e.is_finite() || e <= 0.0) {
             return Err(corrupt("invalid error scales"));
         }
-        r.expect_end()?;
+        r.finish()?;
         Ok(Gdn {
             seed,
             state: Some(Fitted {

@@ -7,6 +7,7 @@
 //! two-stage training to a single joint objective (DESIGN.md).
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
@@ -14,8 +15,8 @@ use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, run_training, sample_starts, NormState,
-    PayloadReader, PayloadWriter, PointScores,
+    batch_windows, coverage_starts, put_tensors, require_len, rng_for, run_training, sample_starts,
+    take_tensors, NormState, PointScores,
 };
 
 const WINDOW: usize = 24;
@@ -155,20 +156,20 @@ impl InterFusion {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
-        w.tensors(&st.model.params());
-        Ok(w.finish())
+        put_tensors(&mut w, &st.model.params());
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x1f05);
         let model = Model::new(&mut rng, norm.channels);
-        r.tensors_into(&model.params())?;
-        r.expect_end()?;
+        take_tensors(&mut r, &model.params())?;
+        r.finish()?;
         Ok(InterFusion {
             seed,
             state: Some(Fitted { norm, model }),

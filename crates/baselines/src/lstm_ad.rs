@@ -6,13 +6,14 @@
 //! Table 7 production comparison.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Lstm, Module};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, ops, Tensor};
 
 use crate::common::{
-    batch_windows, require_len, rng_for, run_training, sample_starts, NormState, PayloadReader,
-    PayloadWriter,
+    batch_windows, put_tensors, require_len, rng_for, run_training, sample_starts, take_tensors,
+    NormState,
 };
 
 /// Context length fed to the LSTM.
@@ -90,15 +91,15 @@ impl LstmAd {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
-        w.tensors(&st.params());
-        Ok(w.finish())
+        put_tensors(&mut w, &st.params());
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let k = norm.channels;
         let mut rng = rng_for(seed, 0x15a);
@@ -107,8 +108,8 @@ impl LstmAd {
             lstm: Lstm::new(&mut rng, k, HIDDEN),
             head: Linear::new(&mut rng, HIDDEN, k),
         };
-        r.tensors_into(&st.params())?;
-        r.expect_end()?;
+        take_tensors(&mut r, &st.params())?;
+        r.finish()?;
         Ok(LstmAd {
             seed,
             state: Some(st),

@@ -7,6 +7,7 @@
 //! combined with the discriminator's suspicion of the window.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
@@ -14,8 +15,8 @@ use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{backward, no_grad, Tensor};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, sample_starts, NormState, PayloadReader,
-    PayloadWriter, PointScores,
+    batch_windows, coverage_starts, put_tensors, require_len, rng_for, sample_starts, take_tensors,
+    NormState, PointScores,
 };
 
 const WINDOW: usize = 16;
@@ -170,24 +171,24 @@ impl MadGan {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
         let mut params = st.gen.params();
         params.extend(st.disc.params());
-        w.tensors(&params);
-        Ok(w.finish())
+        put_tensors(&mut w, &params);
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x6a2d);
         let (gen, disc) = build_models(&mut rng, norm.channels);
         let mut params = gen.params();
         params.extend(disc.params());
-        r.tensors_into(&params)?;
-        r.expect_end()?;
+        take_tensors(&mut r, &params)?;
+        r.finish()?;
         Ok(MadGan {
             seed,
             state: Some(Fitted { norm, gen, disc }),

@@ -10,6 +10,7 @@
 //! residual, mapped back to timestamps.
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Conv1d, Linear, Module};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
@@ -18,7 +19,7 @@ use imdiff_nn::{no_grad, Tensor};
 use rand::rngs::StdRng;
 
 use crate::common::{
-    corrupt, require_len, rng_for, run_training, NormState, PayloadReader, PayloadWriter,
+    corrupt, put_tensors, require_len, rng_for, run_training, take_tensors, NormState,
 };
 use rand::Rng;
 
@@ -181,19 +182,19 @@ impl Mscred {
     /// independent of the RNG draw order at fit time.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
         w.u32(st.extractor.projections.len() as u32);
         for p in &st.extractor.projections {
             w.f32s(p);
         }
-        w.tensors(&st.ae.params());
-        Ok(w.finish())
+        put_tensors(&mut w, &st.ae.params());
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let k = norm.channels;
         let n_scales = r.u32()? as usize;
@@ -212,8 +213,8 @@ impl Mscred {
         let extractor = SignatureExtractor { projections, k };
         let mut rng = rng_for(seed, 0x35c7ed);
         let ae = AutoEncoder::new(&mut rng);
-        r.tensors_into(&ae.params())?;
-        r.expect_end()?;
+        take_tensors(&mut r, &ae.params())?;
+        r.finish()?;
         Ok(Mscred {
             seed,
             state: Some(Fitted {

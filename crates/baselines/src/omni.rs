@@ -6,6 +6,7 @@
 //! reconstruction probability the original paper thresholds with POT).
 
 use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
@@ -13,8 +14,8 @@ use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
 
 use crate::common::{
-    batch_windows, coverage_starts, require_len, rng_for, run_training, sample_starts, NormState,
-    PayloadReader, PayloadWriter, PointScores,
+    batch_windows, coverage_starts, put_tensors, require_len, rng_for, run_training, sample_starts,
+    take_tensors, NormState, PointScores,
 };
 
 const WINDOW: usize = 24;
@@ -119,20 +120,20 @@ impl OmniAnomaly {
     /// Serializes the fitted state as the family's registry payload.
     pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
         let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = PayloadWriter::new();
+        let mut w = Enc::new();
         st.norm.encode(&mut w);
-        w.tensors(&st.vae.params());
-        Ok(w.finish())
+        put_tensors(&mut w, &st.vae.params());
+        Ok(w.into_vec())
     }
 
     /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
     pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = PayloadReader::new(bytes);
+        let mut r = Dec::new(bytes);
         let norm = NormState::decode(&mut r)?;
         let mut rng = rng_for(seed, 0x0a21);
         let vae = Vae::new(&mut rng, norm.channels);
-        r.tensors_into(&vae.params())?;
-        r.expect_end()?;
+        take_tensors(&mut r, &vae.params())?;
+        r.finish()?;
         Ok(OmniAnomaly {
             seed,
             state: Some(Fitted { norm, vae }),

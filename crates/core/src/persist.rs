@@ -13,19 +13,18 @@
 //! produces byte-identical subsequent verdicts (inference is reseeded per
 //! call, so the buffered window fully determines the output).
 //!
-//! Both artifacts are written atomically (temp file + rename) and carry a
-//! CRC32 of the payload since format v2, so a mid-write crash or bit rot
-//! surfaces as [`DetectorError::CorruptCheckpoint`] — never as silently
-//! altered weights or monitor state. Version-1 files (pre-CRC) still load.
+//! Both artifacts are `imdiff_nn::codec` frames (`IMDF` and `IMSM`),
+//! written atomically, so a mid-write crash or bit rot surfaces as
+//! [`DetectorError::CorruptCheckpoint`] — never as silently altered
+//! weights or monitor state. Pre-CRC version-1 files still load.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use imdiff_data::DetectorError;
+use imdiff_nn::codec::{open, seal, Dec, Enc, IMDF, IMSM};
 use imdiff_nn::layers::Module;
-use imdiff_nn::serialize::{
-    atomic_write, crc32, load_params_from_bytes, write_params,
-};
+use imdiff_nn::serialize::{atomic_write, params_image, read_params};
 use imdiff_nn::{NnError, Tensor};
 
 use crate::detector::ImDiffusionDetector;
@@ -47,8 +46,8 @@ fn map_nn(e: NnError) -> DetectorError {
 }
 
 impl ImDiffusionDetector {
-    /// Saves the fitted model and normalizer to `path` (IMDF v2: CRC32
-    /// integrity header, atomic write).
+    /// Saves the fitted model and normalizer to `path` as an `IMDF` image
+    /// (atomic write).
     ///
     /// Returns [`DetectorError::NotFitted`] when called before
     /// [`Detector::fit`].
@@ -76,10 +75,7 @@ impl ImDiffusionDetector {
             let k = r.channels();
             params.push(Tensor::from_vec(r.to_flat(), &[4, k]).expect("drift ref"));
         }
-        let mut buf = Vec::new();
-        write_params(&mut buf, &params)
-            .map_err(|e| DetectorError::Io(format!("cannot encode checkpoint: {e}")))?;
-        Ok(buf)
+        Ok(params_image(&params))
     }
 
     /// Restores a detector from a checkpoint written by [`Self::save`].
@@ -122,40 +118,21 @@ impl ImDiffusionDetector {
         // a legacy checkpoint, not an error (drift detection stays
         // unarmed). Any other count mismatch falls through to the strict
         // loader's architecture check.
-        let drift = if imdf_tensor_count(bytes)? == params.len() + 1 {
+        let (_, mut d) = open(&IMDF, bytes)?;
+        let drift = if d.clone().u32()? as usize == params.len() + 1 {
             let t = Tensor::zeros(&[4, channels]);
             params.push(t.clone());
             Some(t)
         } else {
             None
         };
-        load_params_from_bytes(bytes, &params).map_err(map_nn)?;
+        read_params(&mut d, &params).map_err(map_nn)?;
         det.set_normalizer_vectors(&offset.to_vec(), &scale.to_vec());
         if let Some(t) = drift {
             det.set_drift_reference(DriftReference::from_flat(&t.to_vec(), channels));
         }
         Ok(det)
     }
-}
-
-/// Reads only the tensor count from an IMDF header, so [`load`] can tell
-/// a drift-reference-bearing checkpoint from a legacy one before shaping
-/// the parameter list. Integrity is *not* checked here —
-/// `load_params_from_bytes` verifies the CRC before any tensor is
-/// interpreted.
-///
-/// [`load`]: ImDiffusionDetector::load
-fn imdf_tensor_count(bytes: &[u8]) -> Result<usize, DetectorError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != b"IMDF" {
-        return Err(DetectorError::CorruptCheckpoint(
-            "not an IMDF checkpoint".into(),
-        ));
-    }
-    if r.u32()? >= 2 {
-        r.u32()?; // CRC, verified by the strict loader
-    }
-    Ok(r.u32()? as usize)
 }
 
 /// Extracts the normalizer's per-channel offset/scale.
@@ -167,9 +144,6 @@ fn normalizer_vectors(norm: &imdiff_data::Normalizer) -> (Vec<f32>, Vec<f32>) {
 // Streaming-state checkpointing
 // ---------------------------------------------------------------------------
 
-const STREAM_MAGIC: &[u8; 4] = b"IMSM";
-const STREAM_VERSION: u32 = 3;
-
 /// The sidecar path holding streaming state for a detector checkpoint at
 /// `path` (`<path>.stream`). Public so supervisors and fault-injection
 /// harnesses can archive, inspect or (deliberately) damage the sidecar
@@ -180,84 +154,28 @@ pub fn stream_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Little-endian cursor over a checkpoint byte buffer. Shared by the
-/// stream-state reader here and the training-state reader in `trainer.rs`;
-/// running off the end is a corruption, not a panic.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// The unread remainder (for whole-payload CRC checks).
-    pub(crate) fn rest(&self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DetectorError> {
-        if self.pos + n > self.buf.len() {
-            return Err(DetectorError::CorruptCheckpoint(
-                "truncated checkpoint".into(),
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, DetectorError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, DetectorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, DetectorError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f32(&mut self) -> Result<f32, DetectorError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, DetectorError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-}
-
 impl<D: WindowScorer> StreamingMonitor<D> {
-    /// Serializes the streaming state (everything after the format
-    /// header) — the v2 payload, identical to the v1 body so old readers'
-    /// field layout is preserved.
-    fn encode_stream_payload(&self) -> Vec<u8> {
-        let mut b: Vec<u8> = Vec::new();
-        b.extend_from_slice(&(self.window as u32).to_le_bytes());
-        b.extend_from_slice(&(self.hop as u32).to_le_bytes());
-        b.extend_from_slice(&(self.channels as u32).to_le_bytes());
-        match self.threshold_mode {
-            ThresholdMode::Native => {
-                b.push(0);
-                b.extend_from_slice(&0.0f64.to_le_bytes());
-            }
-            ThresholdMode::PotDynamic { risk } => {
-                b.push(1);
-                b.extend_from_slice(&risk.to_le_bytes());
-            }
-        }
-        b.extend_from_slice(&self.seen.to_le_bytes());
-        b.extend_from_slice(&(self.since_eval as u32).to_le_bytes());
-        b.push(match self.health {
+    /// Writes the streaming state (the `IMSM` payload). Fields up to the
+    /// drift block are the v1/v2 layout unchanged; v3 appends the block.
+    fn encode_stream_payload(&self, e: &mut Enc) {
+        e.u32(self.window as u32);
+        e.u32(self.hop as u32);
+        e.u32(self.channels as u32);
+        let (mode, risk) = match self.threshold_mode {
+            ThresholdMode::Native => (0, 0.0),
+            ThresholdMode::PotDynamic { risk } => (1, risk),
+        };
+        e.u8(mode);
+        e.f64(risk);
+        e.u64(self.seen);
+        e.u32(self.since_eval as u32);
+        e.u8(match self.health {
             HealthState::Healthy => 0,
             HealthState::Degraded => 1,
             HealthState::Warming => 2,
         });
-        b.extend_from_slice(&(self.pending_gap as u32).to_le_bytes());
-        b.extend_from_slice(&(self.max_bridge as u32).to_le_bytes());
+        e.u32(self.pending_gap as u32);
+        e.u32(self.max_bridge as u32);
         for counter in [
             self.rows_rejected,
             self.cells_imputed,
@@ -267,74 +185,51 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             self.degraded_evals,
             self.recoveries,
         ] {
-            b.extend_from_slice(&counter.to_le_bytes());
+            e.u64(counter);
         }
-        match self.fallback_tau {
-            Some(tau) => {
-                b.push(1);
-                b.extend_from_slice(&tau.to_le_bytes());
-            }
-            None => {
-                b.push(0);
-                b.extend_from_slice(&0.0f64.to_le_bytes());
-            }
-        }
-        let reason = self.last_degraded_reason.as_deref().unwrap_or("");
-        b.extend_from_slice(&(reason.len() as u32).to_le_bytes());
-        b.extend_from_slice(reason.as_bytes());
+        e.u8(u8::from(self.fallback_tau.is_some()));
+        e.f64(self.fallback_tau.unwrap_or(0.0));
+        e.str32(self.last_degraded_reason.as_deref().unwrap_or(""));
 
-        b.extend_from_slice(&(self.buffer.len() as u32).to_le_bytes());
+        e.u32(self.buffer.len() as u32);
         for (row, miss) in self.buffer.iter().zip(&self.missing) {
-            for &v in row {
-                b.extend_from_slice(&v.to_le_bytes());
-            }
-            for &m in miss {
-                b.push(u8::from(m));
-            }
+            put_row(e, row, miss);
         }
-        b.extend_from_slice(&(self.error_history.len() as u32).to_le_bytes());
-        for &e in &self.error_history {
-            b.extend_from_slice(&e.to_le_bytes());
+        e.u32(self.error_history.len() as u32);
+        for &v in &self.error_history {
+            e.f64(v);
         }
-        b.extend_from_slice(&(self.fallback_history.len() as u32).to_le_bytes());
-        for &s in &self.fallback_history {
-            b.extend_from_slice(&s.to_le_bytes());
+        e.u32(self.fallback_history.len() as u32);
+        for &v in &self.fallback_history {
+            e.f64(v);
         }
         for st in &self.fallback_stats {
-            b.extend_from_slice(&st.count.to_le_bytes());
-            b.extend_from_slice(&st.mean.to_le_bytes());
-            b.extend_from_slice(&st.m2.to_le_bytes());
+            e.u64(st.count);
+            e.f64(st.mean);
+            e.f64(st.m2);
         }
 
-        // v3 extension: drift-tracker state (reference excluded — it
-        // lives in the weight file and re-arms the tracker on restore).
-        // v1/v2 readers stop before this block; the payload up to here is
-        // the exact v2 layout.
+        // v3: drift-tracker state. The reference is excluded — it lives
+        // in the weight file and re-arms the tracker on restore.
         match &self.drift {
             Some(t) => {
-                b.push(1);
-                b.extend_from_slice(&(t.capacity as u32).to_le_bytes());
-                b.extend_from_slice(&t.threshold.to_le_bytes());
-                b.extend_from_slice(&t.debounce.to_le_bytes());
-                b.extend_from_slice(&t.consecutive.to_le_bytes());
-                b.extend_from_slice(&t.clear_streak.to_le_bytes());
-                b.push(u8::from(t.latched));
-                b.extend_from_slice(&t.evals.to_le_bytes());
-                b.extend_from_slice(&t.trips.to_le_bytes());
-                b.extend_from_slice(&t.last_score.to_le_bytes());
-                b.extend_from_slice(&(t.ring.len() as u32).to_le_bytes());
+                e.u8(1);
+                e.u32(t.capacity as u32);
+                e.f64(t.threshold);
+                e.u32(t.debounce);
+                e.u32(t.consecutive);
+                e.u32(t.clear_streak);
+                e.u8(u8::from(t.latched));
+                e.u64(t.evals);
+                e.u64(t.trips);
+                e.f64(t.last_score);
+                e.u32(t.ring.len() as u32);
                 for (row, miss) in &t.ring {
-                    for &v in row {
-                        b.extend_from_slice(&v.to_le_bytes());
-                    }
-                    for &m in miss {
-                        b.push(u8::from(m));
-                    }
+                    put_row(e, row, miss);
                 }
             }
-            None => b.push(0),
+            None => e.u8(0),
         }
-        b
     }
 
     /// Writes **only** the IMSM streaming-state sidecar at
@@ -343,15 +238,10 @@ impl<D: WindowScorer> StreamingMonitor<D> {
     /// hot reload (and the checkpoint file on disk is already the source
     /// of those weights), while the stream state advances with every row —
     /// so the cadenced write covers just the cheap, frequently-changing
-    /// half. Atomic (temp file + rename), CRC-protected (IMSM v2).
+    /// half. Atomic (temp file + rename), CRC-protected.
     pub fn checkpoint_stream(&self, path: &Path) -> Result<(), DetectorError> {
-        let payload = self.encode_stream_payload();
-        let mut b: Vec<u8> = Vec::with_capacity(payload.len() + 12);
-        b.extend_from_slice(STREAM_MAGIC);
-        b.extend_from_slice(&STREAM_VERSION.to_le_bytes());
-        b.extend_from_slice(&crc32(&payload).to_le_bytes());
-        b.extend_from_slice(&payload);
-        atomic_write(&stream_path(path), &b)
+        let image = seal(&IMSM, |e| self.encode_stream_payload(e));
+        atomic_write(&stream_path(path), &image)
             .map_err(|e| DetectorError::Io(format!("cannot write stream checkpoint: {e}")))
     }
 
@@ -425,8 +315,7 @@ impl StreamingMonitor {
     /// Checkpoints the monitor: model weights + normalizer at `path`
     /// (readable by [`ImDiffusionDetector::load`]) and the complete
     /// streaming state — buffer, missing flags, histories, health state,
-    /// counters, thresholds — at `<path>.stream` (IMSM v2: CRC32 header,
-    /// atomic write).
+    /// counters, thresholds — at `<path>.stream` (`IMSM`, atomic write).
     pub fn checkpoint(&self, path: &Path) -> Result<(), DetectorError> {
         self.detector.save(path)?;
         self.checkpoint_stream(path)
@@ -500,56 +389,57 @@ struct DriftState {
     evals: u64,
     trips: u64,
     last_score: f64,
-    ring: Vec<(Vec<f32>, Vec<bool>)>,
+    ring: Vec<Row>,
+}
+
+/// A buffered row: its values and per-cell missing flags.
+type Row = (Vec<f32>, Vec<bool>);
+
+/// One buffered row: `channels` values, then one missing flag per cell.
+fn put_row(e: &mut Enc, row: &[f32], miss: &[bool]) {
+    for &v in row {
+        e.f32(v);
+    }
+    for &m in miss {
+        e.u8(u8::from(m));
+    }
+}
+
+/// Reads `n` rows written by [`put_row`]; the caller bounds `n` against
+/// the remaining bytes.
+fn take_rows(d: &mut Dec, n: usize, channels: usize) -> Result<Vec<Row>, DetectorError> {
+    let mut rows = Vec::with_capacity(n);
+    for _ in 0..n {
+        let row = d.f32s_n(channels)?;
+        let miss = d.take(channels)?.iter().map(|&m| m == 1).collect();
+        rows.push((row, miss));
+    }
+    Ok(rows)
 }
 
 /// Parses an IMSM sidecar image (any supported version) into
-/// [`StreamState`]. Validation mirrors the writer: magic, version, CRC
-/// (v2+), and structural bounds on the buffer and drift ring.
+/// [`StreamState`]: the frame check, then structural bounds on the buffer
+/// and drift ring.
 fn parse_stream_sidecar(bytes: &[u8]) -> Result<StreamState, DetectorError> {
-    let mut r = Reader::new(bytes);
-    if r.take(4)? != STREAM_MAGIC {
-        return Err(DetectorError::CorruptCheckpoint(
-            "not an IMSM stream checkpoint".into(),
-        ));
-    }
-    let version = r.u32()?;
-    match version {
-        1 => {}
-        2 | 3 => {
-            let stored = r.u32()?;
-            let actual = crc32(r.rest());
-            if stored != actual {
-                return Err(DetectorError::CorruptCheckpoint(format!(
-                    "stream checkpoint CRC mismatch: header {stored:#010x}, \
-                     payload {actual:#010x}"
-                )));
-            }
-        }
-        v => {
-            return Err(DetectorError::CorruptCheckpoint(format!(
-                "unsupported stream checkpoint version {v}"
-            )))
-        }
-    }
-    let window = r.u32()? as usize;
-    let hop = r.u32()? as usize;
-    let channels = r.u32()? as usize;
-    let threshold_mode = match r.u8()? {
+    let (version, mut d) = open(&IMSM, bytes)?;
+    let window = d.u32()? as usize;
+    let hop = d.u32()? as usize;
+    let channels = d.u32()? as usize;
+    let threshold_mode = match d.u8()? {
         0 => {
-            r.f64()?;
+            d.f64()?;
             ThresholdMode::Native
         }
-        1 => ThresholdMode::PotDynamic { risk: r.f64()? },
+        1 => ThresholdMode::PotDynamic { risk: d.f64()? },
         t => {
             return Err(DetectorError::CorruptCheckpoint(format!(
                 "unknown threshold mode tag {t}"
             )))
         }
     };
-    let seen = r.u64()?;
-    let since_eval = r.u32()? as usize;
-    let health = match r.u8()? {
+    let seen = d.u64()?;
+    let since_eval = d.u32()? as usize;
+    let health = match d.u8()? {
         0 => HealthState::Healthy,
         1 => HealthState::Degraded,
         2 => HealthState::Warming,
@@ -559,94 +449,69 @@ fn parse_stream_sidecar(bytes: &[u8]) -> Result<StreamState, DetectorError> {
             )))
         }
     };
-    let pending_gap = r.u32()? as usize;
-    let max_bridge = r.u32()? as usize;
-    let rows_rejected = r.u64()?;
-    let cells_imputed = r.u64()?;
-    let gaps_bridged = r.u64()?;
-    let rows_bridged = r.u64()?;
-    let rewarms = r.u64()?;
-    let degraded_evals = r.u64()?;
-    let recoveries = r.u64()?;
+    let pending_gap = d.u32()? as usize;
+    let max_bridge = d.u32()? as usize;
+    let rows_rejected = d.u64()?;
+    let cells_imputed = d.u64()?;
+    let gaps_bridged = d.u64()?;
+    let rows_bridged = d.u64()?;
+    let rewarms = d.u64()?;
+    let degraded_evals = d.u64()?;
+    let recoveries = d.u64()?;
     let fallback_tau = {
-        let has = r.u8()? == 1;
-        let tau = r.f64()?;
+        let has = d.u8()? == 1;
+        let tau = d.f64()?;
         has.then_some(tau)
     };
-    let reason_len = r.u32()? as usize;
-    let reason = String::from_utf8(r.take(reason_len)?.to_vec()).map_err(|_| {
-        DetectorError::CorruptCheckpoint("corrupt degraded-reason string".into())
-    })?;
-    let last_degraded_reason = (!reason.is_empty()).then_some(reason);
+    let reason = d.str32()?;
+    let last_degraded_reason = (!reason.is_empty()).then(|| reason.to_owned());
 
-    let n_rows = r.u32()? as usize;
+    // Each row is `channels` f32 values plus `channels` flag bytes.
+    let row_bytes = channels.saturating_mul(5);
+    let n_rows = d.count(row_bytes)?;
     if n_rows > window {
         return Err(DetectorError::CorruptCheckpoint(format!(
             "checkpoint buffer has {n_rows} rows, window is {window}"
         )));
     }
-    let mut buffer = VecDeque::with_capacity(window);
-    let mut missing = VecDeque::with_capacity(window);
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(channels);
-        for _ in 0..channels {
-            row.push(r.f32()?);
-        }
-        let mut miss = Vec::with_capacity(channels);
-        for _ in 0..channels {
-            miss.push(r.u8()? == 1);
-        }
-        buffer.push_back(row);
-        missing.push_back(miss);
-    }
-    let n_err = r.u32()? as usize;
+    let (buffer, missing) = take_rows(&mut d, n_rows, channels)?.into_iter().unzip();
+    let n_err = d.count(8)?;
     let mut error_history = VecDeque::with_capacity(HISTORY_CAP);
     for _ in 0..n_err {
-        error_history.push_back(r.f64()?);
+        error_history.push_back(d.f64()?);
     }
-    let n_fb = r.u32()? as usize;
+    let n_fb = d.count(8)?;
     let mut fallback_history = VecDeque::with_capacity(HISTORY_CAP);
     for _ in 0..n_fb {
-        fallback_history.push_back(r.f64()?);
+        fallback_history.push_back(d.f64()?);
     }
-    let mut fallback_stats = Vec::with_capacity(channels);
-    for _ in 0..channels {
-        fallback_stats.push(ChannelStats {
-            count: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-        });
-    }
+    let fallback_stats = (0..d.fits(channels, 24)?)
+        .map(|_| {
+            Ok(ChannelStats {
+                count: d.u64()?,
+                mean: d.f64()?,
+                m2: d.f64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, DetectorError>>()?;
 
     // v3 drift-tracker block; pre-v3 sidecars restore with whatever
     // fresh tracker the (possibly drift-bearing) weight file arms.
-    let drift_state = if version >= 3 && r.u8()? == 1 {
-        let capacity = r.u32()? as usize;
-        let threshold = r.f64()?;
-        let debounce = r.u32()?;
-        let consecutive = r.u32()?;
-        let clear_streak = r.u32()?;
-        let latched = r.u8()? == 1;
-        let evals = r.u64()?;
-        let trips = r.u64()?;
-        let last_score = r.f64()?;
-        let n_ring = r.u32()? as usize;
+    let drift_state = if version >= 3 && d.u8()? == 1 {
+        let capacity = d.u32()? as usize;
+        let threshold = d.f64()?;
+        let debounce = d.u32()?;
+        let consecutive = d.u32()?;
+        let clear_streak = d.u32()?;
+        let latched = d.u8()? == 1;
+        let evals = d.u64()?;
+        let trips = d.u64()?;
+        let last_score = d.f64()?;
+        let n_ring = d.count(row_bytes)?;
         if n_ring > capacity {
             return Err(DetectorError::CorruptCheckpoint(format!(
                 "drift ring has {n_ring} rows, capacity is {capacity}"
             )));
-        }
-        let mut ring = Vec::with_capacity(n_ring);
-        for _ in 0..n_ring {
-            let mut row = Vec::with_capacity(channels);
-            for _ in 0..channels {
-                row.push(r.f32()?);
-            }
-            let mut miss = Vec::with_capacity(channels);
-            for _ in 0..channels {
-                miss.push(r.u8()? == 1);
-            }
-            ring.push((row, miss));
         }
         Some(DriftState {
             capacity,
@@ -658,11 +523,16 @@ fn parse_stream_sidecar(bytes: &[u8]) -> Result<StreamState, DetectorError> {
             evals,
             trips,
             last_score,
-            ring,
+            ring: take_rows(&mut d, n_ring, channels)?,
         })
     } else {
         None
     };
+    // Pre-v3 readers stopped ahead of the drift block, so only a v3 image
+    // must end here.
+    if version >= 3 {
+        d.finish()?;
+    }
 
     Ok(StreamState {
         window,
@@ -1034,9 +904,11 @@ mod tests {
         // Rewrite the sidecar in the legacy v1 layout: magic + version,
         // no CRC, same payload.
         let mut v1: Vec<u8> = Vec::new();
-        v1.extend_from_slice(STREAM_MAGIC);
+        v1.extend_from_slice(&IMSM.magic);
         v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&monitor.encode_stream_payload());
+        let mut payload = Enc::new();
+        monitor.encode_stream_payload(&mut payload);
+        v1.extend_from_slice(&payload.into_vec());
         std::fs::write(stream_path(&path), v1).unwrap();
 
         let mut restored = StreamingMonitor::restore(tiny_cfg(), 7, &path).unwrap();
@@ -1048,6 +920,38 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(stream_path(&path)).ok();
+    }
+
+    /// CRC-valid sidecars whose window and channel counts claim
+    /// `u32::MAX` are corrupt, not allocations of that many rows or cells.
+    #[test]
+    fn oversized_window_and_channels_are_corrupt() {
+        for n_rows in [0u32, 1] {
+            let image = seal(&IMSM, |e| {
+                e.u32(u32::MAX); // window
+                e.u32(1); // hop
+                e.u32(u32::MAX); // channels
+                e.u8(0);
+                e.f64(0.0);
+                e.u64(0); // seen
+                e.u32(0); // since_eval
+                e.u8(2); // Warming
+                e.u32(0);
+                e.u32(0);
+                for _ in 0..7 {
+                    e.u64(0);
+                }
+                e.u8(0);
+                e.f64(0.0);
+                e.str32("");
+                e.u32(n_rows);
+                e.raw(&[0; 64]);
+            });
+            assert!(matches!(
+                parse_stream_sidecar(&image),
+                Err(DetectorError::CorruptCheckpoint(_))
+            ));
+        }
     }
 
     #[test]

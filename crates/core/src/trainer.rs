@@ -29,22 +29,19 @@ use std::path::{Path, PathBuf};
 use imdiff_data::mask::{Mask, MaskStrategy};
 use imdiff_data::{DetectorError, Mts};
 use imdiff_diffusion::NoiseSchedule;
+use imdiff_nn::codec::{open, seal, IMTS};
 use imdiff_nn::layers::Module;
 use imdiff_nn::obs;
 use imdiff_nn::ops::masked_mse;
 use imdiff_nn::optim::{Adam, AdamState, Optimizer};
 use imdiff_nn::rng::{normal_vec, seeded};
-use imdiff_nn::serialize::{atomic_write, crc32};
+use imdiff_nn::serialize::atomic_write;
 use imdiff_nn::{backward, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::{ImDiffusionConfig, SentinelConfig, TaskMode};
 use crate::model::ImTransformer;
-use crate::persist::Reader;
-
-const TRAIN_MAGIC: &[u8; 4] = b"IMTS";
-const TRAIN_VERSION: u32 = 2;
 
 /// Why a divergence sentinel tripped.
 #[derive(Debug, Clone, PartialEq)]
@@ -605,70 +602,59 @@ fn write_train_state(
     cfg: &ImDiffusionConfig,
     channels: usize,
 ) -> Result<(), DetectorError> {
-    let mut p: Vec<u8> = Vec::new();
-    p.extend_from_slice(&(cfg.window as u32).to_le_bytes());
-    p.extend_from_slice(&(channels as u32).to_le_bytes());
-    p.extend_from_slice(&(cfg.train_steps as u64).to_le_bytes());
-    p.extend_from_slice(&(snap.step as u64).to_le_bytes());
-    for w in snap.rng_state {
-        p.extend_from_slice(&w.to_le_bytes());
-    }
-    p.extend_from_slice(&snap.lr_scale.to_le_bytes());
-    p.extend_from_slice(&snap.retries.to_le_bytes());
-    p.extend_from_slice(&snap.trips.to_le_bytes());
-    p.extend_from_slice(&snap.adam.t.to_le_bytes());
-    p.extend_from_slice(&(snap.params.len() as u32).to_le_bytes());
-    for ((w, m), v) in snap.params.iter().zip(&snap.adam.m).zip(&snap.adam.v) {
-        p.extend_from_slice(&(w.len() as u32).to_le_bytes());
-        for &x in w.iter().chain(m).chain(v) {
-            p.extend_from_slice(&x.to_le_bytes());
+    let image = seal(&IMTS, |e| {
+        e.u32(cfg.window as u32);
+        e.u32(channels as u32);
+        e.u64(cfg.train_steps as u64);
+        e.u64(snap.step as u64);
+        for w in snap.rng_state {
+            e.u64(w);
         }
-    }
-    p.extend_from_slice(&(snap.losses.len() as u32).to_le_bytes());
-    for &x in &snap.losses {
-        p.extend_from_slice(&x.to_le_bytes());
-    }
-    p.extend_from_slice(&(snap.grad_norms.len() as u32).to_le_bytes());
-    for &x in &snap.grad_norms {
-        p.extend_from_slice(&x.to_le_bytes());
-    }
-    p.extend_from_slice(&(incidents.len() as u32).to_le_bytes());
-    for inc in incidents {
-        p.extend_from_slice(&(inc.step as u64).to_le_bytes());
-        p.extend_from_slice(&inc.retry.to_le_bytes());
-        p.extend_from_slice(&inc.lr_scale.to_le_bytes());
-        let (tag, norm, med) = match inc.kind {
-            IncidentKind::NonFiniteLoss => (0u8, 0.0, 0.0),
-            IncidentKind::GradExplosion { norm, median } => (1, norm, median),
-            IncidentKind::NanPlateau => (2, 0.0, 0.0),
-        };
-        p.push(tag);
-        p.extend_from_slice(&norm.to_le_bytes());
-        p.extend_from_slice(&med.to_le_bytes());
-    }
-    // v2: optional EMA shadow block. v1 readers never reach here; the v2
-    // reader treats a 0 flag as "EMA off for this run".
-    match &snap.ema {
-        Some(ema) => {
-            p.push(1);
-            for w in ema {
-                p.extend_from_slice(&(w.len() as u32).to_le_bytes());
-                for &x in w {
-                    p.extend_from_slice(&x.to_le_bytes());
-                }
+        e.f32(snap.lr_scale);
+        e.u32(snap.retries);
+        e.u64(snap.trips);
+        e.u64(snap.adam.t);
+        e.u32(snap.params.len() as u32);
+        for ((w, m), v) in snap.params.iter().zip(&snap.adam.m).zip(&snap.adam.v) {
+            e.u32(w.len() as u32);
+            for &x in w.iter().chain(m).chain(v) {
+                e.f32(x);
             }
         }
-        None => p.push(0),
-    }
-
-    let mut b: Vec<u8> = Vec::with_capacity(p.len() + 12);
-    b.extend_from_slice(TRAIN_MAGIC);
-    b.extend_from_slice(&TRAIN_VERSION.to_le_bytes());
-    b.extend_from_slice(&crc32(&p).to_le_bytes());
-    b.extend_from_slice(&p);
-    atomic_write(path, &b)
+        e.f32s(&snap.losses);
+        e.f32s(&snap.grad_norms);
+        e.u32(incidents.len() as u32);
+        for inc in incidents {
+            e.u64(inc.step as u64);
+            e.u32(inc.retry);
+            e.f32(inc.lr_scale);
+            let (tag, norm, med) = match inc.kind {
+                IncidentKind::NonFiniteLoss => (0u8, 0.0, 0.0),
+                IncidentKind::GradExplosion { norm, median } => (1, norm, median),
+                IncidentKind::NanPlateau => (2, 0.0, 0.0),
+            };
+            e.u8(tag);
+            e.f32(norm);
+            e.f32(med);
+        }
+        // v2: optional EMA shadow block. v1 readers never reach here; the
+        // v2 reader treats a 0 flag as "EMA off for this run".
+        match &snap.ema {
+            Some(ema) => {
+                e.u8(1);
+                for w in ema {
+                    e.f32s(w);
+                }
+            }
+            None => e.u8(0),
+        }
+    });
+    atomic_write(path, &image)
         .map_err(|e| DetectorError::Io(format!("cannot write training checkpoint: {e}")))
 }
+
+/// Bytes per incident record: step, retry, lr scale, tag, norm, median.
+const INCIDENT_BYTES: usize = 8 + 4 + 4 + 1 + 4 + 4;
 
 /// Reads and validates an `IMTS` file into a resume snapshot.
 fn read_train_state(
@@ -682,28 +668,10 @@ fn read_train_state(
             path.display()
         ))
     })?;
-    let mut r = Reader::new(&bytes);
-    if r.take(4)? != TRAIN_MAGIC {
-        return Err(DetectorError::CorruptCheckpoint(
-            "not an IMTS training checkpoint".into(),
-        ));
-    }
-    let version = r.u32()?;
-    if !(1..=TRAIN_VERSION).contains(&version) {
-        return Err(DetectorError::CorruptCheckpoint(format!(
-            "unsupported training checkpoint version {version}"
-        )));
-    }
-    let stored = r.u32()?;
-    let actual = crc32(r.rest());
-    if stored != actual {
-        return Err(DetectorError::CorruptCheckpoint(format!(
-            "training checkpoint CRC mismatch: header {stored:#010x}, payload {actual:#010x}"
-        )));
-    }
-    let window = r.u32()? as usize;
-    let k = r.u32()? as usize;
-    let train_steps = r.u64()? as usize;
+    let (version, mut d) = open(&IMTS, &bytes)?;
+    let window = d.u32()? as usize;
+    let k = d.u32()? as usize;
+    let train_steps = d.u64()? as usize;
     if window != cfg.window || k != channels || train_steps != cfg.train_steps {
         return Err(DetectorError::InvalidTrainingData(format!(
             "training checkpoint was written for window={window}, channels={k}, \
@@ -712,69 +680,45 @@ fn read_train_state(
             cfg.window, cfg.train_steps
         )));
     }
-    let step = r.u64()? as usize;
+    let step = d.u64()? as usize;
     let mut rng_state = [0u64; 4];
     for w in &mut rng_state {
-        *w = r.u64()?;
+        *w = d.u64()?;
     }
-    let lr_scale = r.f32()?;
-    let retries = r.u32()?;
-    let trips = r.u64()?;
-    let t = r.u64()?;
-    let n_params = r.u32()? as usize;
+    let lr_scale = d.f32()?;
+    let retries = d.u32()?;
+    let trips = d.u64()?;
+    let t = d.u64()?;
+    // Each tensor is a `u32` length, then weights, Adam m and Adam v.
+    let n_params = d.count(4)?;
     let mut params = Vec::with_capacity(n_params);
     let mut m = Vec::with_capacity(n_params);
     let mut v = Vec::with_capacity(n_params);
     for _ in 0..n_params {
-        let len = r.u32()? as usize;
-        let read_vec = |r: &mut Reader| -> Result<Vec<f32>, DetectorError> {
-            let mut out = Vec::with_capacity(len);
-            for _ in 0..len {
-                out.push(r.f32()?);
-            }
-            Ok(out)
-        };
-        params.push(read_vec(&mut r)?);
-        m.push(read_vec(&mut r)?);
-        v.push(read_vec(&mut r)?);
+        let len = d.count(12)?;
+        params.push(d.f32s_n(len)?);
+        m.push(d.f32s_n(len)?);
+        v.push(d.f32s_n(len)?);
     }
-    let n_losses = r.u32()? as usize;
-    let mut losses = Vec::with_capacity(n_losses.min(1 << 20));
-    for _ in 0..n_losses {
-        losses.push(r.f32()?);
-    }
-    let n_norms = r.u32()? as usize;
-    let mut grad_norms = Vec::with_capacity(n_norms.min(1 << 20));
-    for _ in 0..n_norms {
-        grad_norms.push(r.f32()?);
-    }
+    let losses = d.f32s()?;
+    let grad_norms = d.f32s()?;
     // Incidents are validated (they are inside the CRC boundary) but a
     // resumed run re-accumulates only future ones; past incidents live in
     // the checkpoint for post-mortems.
-    let n_inc = r.u32()? as usize;
-    for _ in 0..n_inc {
-        r.u64()?;
-        r.u32()?;
-        r.f32()?;
-        r.u8()?;
-        r.f32()?;
-        r.f32()?;
-    }
+    let n_inc = d.count(INCIDENT_BYTES)?;
+    d.take(n_inc * INCIDENT_BYTES)?;
     // v1 checkpoints predate the EMA shadow; a resume seeds it from the
     // restored weights when this run asks for EMA.
-    let ema = if version >= 2 && r.u8()? == 1 {
+    let ema = if version >= 2 && d.u8()? == 1 {
         let mut shadow = Vec::with_capacity(n_params);
         for stored in &params {
-            let len = r.u32()? as usize;
-            if len != stored.len() {
+            let w = d.f32s()?;
+            if w.len() != stored.len() {
                 return Err(DetectorError::CorruptCheckpoint(format!(
-                    "EMA shadow length {len} does not match parameter length {}",
+                    "EMA shadow length {} does not match parameter length {}",
+                    w.len(),
                     stored.len()
                 )));
-            }
-            let mut w = Vec::with_capacity(len);
-            for _ in 0..len {
-                w.push(r.f32()?);
             }
             shadow.push(w);
         }
@@ -782,6 +726,7 @@ fn read_train_state(
     } else {
         None
     };
+    d.finish()?;
     Ok(Snapshot {
         step,
         rng_state,
@@ -883,6 +828,7 @@ mod tests {
     use super::*;
     use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
     use imdiff_data::{NormMethod, Normalizer};
+    use imdiff_nn::serialize::crc32;
 
     fn tiny_cfg() -> ImDiffusionConfig {
         ImDiffusionConfig {
@@ -1228,7 +1174,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         let payload = &bytes[12..bytes.len() - 1];
         let mut v1 = Vec::with_capacity(bytes.len() - 1);
-        v1.extend_from_slice(TRAIN_MAGIC);
+        v1.extend_from_slice(&IMTS.magic);
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&crc32(payload).to_le_bytes());
         v1.extend_from_slice(payload);
@@ -1246,6 +1192,36 @@ mod tests {
         assert_eq!(report.resumed_at, Some(6));
         assert_eq!(report.losses.len(), cfg.train_steps);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A CRC-valid training checkpoint whose parameter count claims
+    /// `u32::MAX` is corrupt, not an allocation of that many tensors.
+    #[test]
+    fn oversized_param_count_is_corrupt() {
+        let cfg = tiny_cfg();
+        let image = seal(&IMTS, |e| {
+            e.u32(cfg.window as u32);
+            e.u32(3);
+            e.u64(cfg.train_steps as u64);
+            e.u64(0); // step
+            for _ in 0..4 {
+                e.u64(1);
+            }
+            e.f32(1.0);
+            e.u32(0);
+            e.u64(0);
+            e.u64(0);
+            e.u32(u32::MAX); // n_params
+            e.raw(&[0; 64]);
+        });
+        let path = std::env::temp_dir().join(format!(
+            "imdiffusion-imts-oversized-{}.imts",
+            std::process::id()
+        ));
+        std::fs::write(&path, image).unwrap();
+        let res = read_train_state(&path, &cfg, 3);
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(res, Err(DetectorError::CorruptCheckpoint(_))));
     }
 
     #[test]

@@ -99,6 +99,14 @@ impl fmt::Display for DetectorError {
     }
 }
 
+/// Every codec failure while reading a checkpoint is damage: bad magic,
+/// unsupported version, CRC mismatch, truncation or an impossible count.
+impl From<imdiff_nn::codec::CodecError> for DetectorError {
+    fn from(e: imdiff_nn::codec::CodecError) -> Self {
+        DetectorError::CorruptCheckpoint(e.to_string())
+    }
+}
+
 impl DetectorError {
     /// Whether retrying the exact same request can succeed.
     ///

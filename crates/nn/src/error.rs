@@ -41,6 +41,12 @@ impl fmt::Display for NnError {
 
 impl std::error::Error for NnError {}
 
+impl From<crate::codec::CodecError> for NnError {
+    fn from(e: crate::codec::CodecError) -> Self {
+        NnError::Corrupt(e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

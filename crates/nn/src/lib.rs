@@ -36,6 +36,7 @@
 
 mod arena;
 mod autodiff;
+pub mod codec;
 mod error;
 pub mod init;
 pub mod layers;

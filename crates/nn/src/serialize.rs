@@ -1,27 +1,20 @@
-//! Model checkpointing: save/load parameter lists in a simple binary
-//! format.
+//! Model checkpointing: save/load parameter lists as `IMDF` images.
 //!
 //! Every [`crate::layers::Module`] exposes its parameters in a stable
-//! order, so a checkpoint is just that ordered list of tensors. The format
-//! is self-describing enough to catch mismatches (magic, version, per-
-//! tensor shape) but deliberately minimal: little-endian `f32` throughout.
-//!
-//! Version 2 adds an integrity boundary: a CRC32 of the payload sits in
-//! the header and is verified before any byte is interpreted, so a
-//! truncated or bit-rotted file surfaces as [`NnError::Corrupt`] instead
-//! of loading as garbage weights. Version 1 files (no CRC) are still
+//! order, so a checkpoint is just that ordered list of tensors in an
+//! [`IMDF`] frame (see [`crate::codec`]). The payload is the tensor count,
+//! then per tensor its rank, dims and little-endian `f32` data; shapes are
+//! checked against the model on load. Version 1 files (no CRC) are still
 //! readable. All writers in this module go through [`atomic_write`] —
 //! temp file plus atomic rename — so a crash mid-write leaves either the
 //! old checkpoint or none, never a half-written one.
 
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
+use crate::codec::{open, seal, Dec, IMDF};
 use crate::{NnError, Result, Tensor};
-
-const MAGIC: &[u8; 4] = b"IMDF";
-const VERSION: u32 = 2;
 
 /// CRC32 (IEEE 802.3, polynomial `0xEDB88320`) lookup table, built at
 /// compile time.
@@ -91,93 +84,49 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     result
 }
 
-/// Serializes a parameter list (payload only — no header) into `buf`.
-fn write_payload(buf: &mut Vec<u8>, params: &[Tensor]) {
-    buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    for p in params {
-        let dims = p.dims();
-        buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        for &d in dims {
-            buf.extend_from_slice(&(d as u32).to_le_bytes());
+/// The `IMDF` image of a parameter list.
+pub fn params_image(params: &[Tensor]) -> Vec<u8> {
+    seal(&IMDF, |e| {
+        e.u32(params.len() as u32);
+        for p in params {
+            let dims = p.dims();
+            e.u32(dims.len() as u32);
+            for &d in dims {
+                e.u32(d as u32);
+            }
+            for &v in p.data().iter() {
+                e.f32(v);
+            }
         }
-        for &v in p.data().iter() {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
+    })
 }
 
-/// Serializes a parameter list to a writer in the v2 (CRC-checked)
-/// format.
-pub fn write_params(mut w: impl Write, params: &[Tensor]) -> std::io::Result<()> {
-    let mut payload = Vec::new();
-    write_payload(&mut payload, params);
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&crc32(&payload).to_le_bytes())?;
-    w.write_all(&payload)
-}
-
-/// Saves a parameter list to a file (v2 format, atomic write).
+/// Saves a parameter list to a file (atomic write).
 pub fn save_params(path: &Path, params: &[Tensor]) -> std::io::Result<()> {
-    let mut buf = Vec::new();
-    write_params(&mut buf, params)?;
-    atomic_write(path, &buf)
-}
-
-fn read_u32(r: &mut impl Read) -> std::io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
+    atomic_write(path, &params_image(params))
 }
 
 /// Loads a checkpoint *into* an existing parameter list (e.g. a freshly
 /// constructed model), verifying integrity, count and shapes.
 ///
 /// Error taxonomy: [`NnError::Io`] when the file cannot be read,
-/// [`NnError::Corrupt`] when it is damaged (bad magic, CRC mismatch,
-/// truncation), and [`NnError::InvalidArgument`] when it is intact but
-/// belongs to a different architecture — a checkpoint must never be
-/// silently truncated into a model.
+/// [`NnError::Corrupt`] when it is damaged (bad magic, unsupported
+/// version, CRC mismatch, truncation), and [`NnError::InvalidArgument`]
+/// when it is intact but belongs to a different architecture — a
+/// checkpoint must never be silently truncated into a model.
 pub fn load_params_into(path: &Path, params: &[Tensor]) -> Result<()> {
     let bytes = fs::read(path)
         .map_err(|e| NnError::Io(format!("cannot read {}: {e}", path.display())))?;
-    load_params_from_bytes(&bytes, params)
+    let (_, mut d) = open(&IMDF, &bytes)?;
+    read_params(&mut d, params)
 }
 
-/// Byte-buffer form of [`load_params_into`], for checkpoints that travel
-/// inside another container (the detector-registry envelope wraps a full
-/// IMDF image as its ImDiffusion payload) rather than as a standalone
-/// file. Identical validation and error taxonomy.
-pub fn load_params_from_bytes(bytes: &[u8], params: &[Tensor]) -> Result<()> {
-    let mut r: &[u8] = bytes;
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)
-        .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))?;
-    if &magic != MAGIC {
-        return Err(NnError::Corrupt("not an IMDF checkpoint".into()));
-    }
-    let version = read_u32(&mut r)
-        .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))?;
-    match version {
-        1 => {}
-        2 => {
-            let stored = read_u32(&mut r)
-                .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))?;
-            let actual = crc32(r);
-            if stored != actual {
-                return Err(NnError::Corrupt(format!(
-                    "CRC mismatch: header {stored:#010x}, payload {actual:#010x}"
-                )));
-            }
-        }
-        v => {
-            return Err(NnError::InvalidArgument(format!(
-                "unsupported checkpoint version {v}"
-            )))
-        }
-    }
-    let count = read_u32(&mut r)
-        .map_err(|_| NnError::Corrupt("truncated checkpoint header".into()))? as usize;
+/// Reads an opened `IMDF` payload into `params`, to its last byte. Split
+/// from [`load_params_into`] for images that travel inside another
+/// container (the registry envelope) and for callers that peek at the
+/// tensor count first. Same error taxonomy.
+pub fn read_params(d: &mut Dec, params: &[Tensor]) -> Result<()> {
+    let count = d.u32()? as usize;
     if count != params.len() {
         return Err(NnError::InvalidArgument(format!(
             "checkpoint has {count} tensors, model expects {}",
@@ -185,34 +134,19 @@ pub fn load_params_from_bytes(bytes: &[u8], params: &[Tensor]) -> Result<()> {
         )));
     }
     for (i, p) in params.iter().enumerate() {
-        let ndim = read_u32(&mut r)
-            .map_err(|_| NnError::Corrupt(format!("truncated at tensor {i}")))?
-            as usize;
-        let mut dims = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            dims.push(
-                read_u32(&mut r)
-                    .map_err(|_| NnError::Corrupt(format!("truncated at tensor {i} dims")))?
-                    as usize,
-            );
-        }
+        let ndim = d.count(4)?;
+        let dims = (0..ndim)
+            .map(|_| d.u32().map(|v| v as usize))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         if dims != p.dims() {
             return Err(NnError::InvalidArgument(format!(
                 "tensor {i}: checkpoint shape {dims:?} != model shape {:?}",
                 p.dims()
             )));
         }
-        let n: usize = dims.iter().product();
-        let mut data = vec![0.0f32; n];
-        for v in &mut data {
-            let mut b = [0u8; 4];
-            r.read_exact(&mut b)
-                .map_err(|_| NnError::Corrupt(format!("truncated at tensor {i} data")))?;
-            *v = f32::from_le_bytes(b);
-        }
-        p.set_data(&data);
+        p.set_data(&d.f32s_n(p.numel())?);
     }
-    Ok(())
+    Ok(d.finish()?)
 }
 
 #[cfg(test)]
@@ -227,10 +161,10 @@ mod tests {
 
     /// Writes the pre-CRC v1 layout, as older deployments produced it.
     fn save_params_v1(path: &Path, params: &[Tensor]) {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
+        let image = params_image(params);
+        let mut buf = b"IMDF".to_vec();
         buf.extend_from_slice(&1u32.to_le_bytes());
-        write_payload(&mut buf, params);
+        buf.extend_from_slice(&image[crate::codec::HEADER_LEN..]);
         std::fs::write(path, buf).unwrap();
     }
 
@@ -331,6 +265,23 @@ mod tests {
             Err(NnError::InvalidArgument(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A CRC-valid image whose tensor rank claims `u32::MAX` dims is
+    /// corrupt, not an allocation of that many dims.
+    #[test]
+    fn oversized_rank_is_corrupt() {
+        let l = Linear::new(&mut seeded(1), 2, 2);
+        let image = crate::codec::seal(&IMDF, |e| {
+            e.u32(l.params().len() as u32);
+            e.u32(u32::MAX);
+            e.u32(2);
+        });
+        let (_, mut d) = open(&IMDF, &image).unwrap();
+        assert!(matches!(
+            read_params(&mut d, &l.params()),
+            Err(NnError::Corrupt(_))
+        ));
     }
 
     #[test]

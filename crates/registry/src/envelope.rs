@@ -1,13 +1,11 @@
 //! The IMDE checkpoint envelope — one CRC-checked container format for
 //! every detector family.
 //!
-//! Layout (all integers little-endian):
+//! An [`IMDE`] frame (see `imdiff_nn::codec`) whose payload is (all
+//! integers little-endian):
 //!
 //! | field | size | meaning |
 //! |---|---|---|
-//! | magic | 4 | `"IMDE"` |
-//! | version | u32 | format version (currently 1) |
-//! | crc | u32 | CRC-32 of every byte after this field |
 //! | family | u8 | [`DetectorKind::tag`] |
 //! | seed | u64 | construction seed (restore rebuilds RNG state from it) |
 //! | serving window | u32 | rows per streaming evaluation |
@@ -25,67 +23,15 @@
 use std::path::Path;
 
 use imdiff_data::{Detector, DetectorError, Mts};
-use imdiff_nn::serialize::{atomic_write, crc32};
+use imdiff_nn::codec::{open, seal, HEADER_LEN, IMDE, IMDF};
+use imdiff_nn::serialize::atomic_write;
 use imdiffusion::{DriftReference, ImDiffusionConfig, WindowScorer};
 
 use crate::any::{AnyDetector, Model};
 use crate::kind::DetectorKind;
 
-/// Magic prefix of a registry envelope.
-pub const ENVELOPE_MAGIC: &[u8; 4] = b"IMDE";
-/// Current envelope format version.
-pub const ENVELOPE_VERSION: u32 = 1;
-/// Magic prefix of a legacy raw ImDiffusion checkpoint.
-const LEGACY_MAGIC: &[u8; 4] = b"IMDF";
-
 fn corrupt(msg: impl std::fmt::Display) -> DetectorError {
     DetectorError::CorruptCheckpoint(format!("registry envelope: {msg}"))
-}
-
-/// Minimal cursor over envelope bytes (every shortfall is a typed
-/// corruption error, mirroring the baselines' payload reader).
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DetectorError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| corrupt("truncated"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, DetectorError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DetectorError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DetectorError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DetectorError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, DetectorError> {
-        if n.saturating_mul(4) > self.buf.len() - self.pos {
-            return Err(corrupt("truncated drift reference"));
-        }
-        (0..n)
-            .map(|_| Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap())))
-            .collect()
-    }
 }
 
 impl AnyDetector {
@@ -94,30 +40,23 @@ impl AnyDetector {
     pub fn save_bytes(&self) -> Result<Vec<u8>, DetectorError> {
         let channels = self.channels().ok_or(DetectorError::NotFitted)?;
         let payload = self.native_payload()?;
-        let mut body = Vec::with_capacity(payload.len() + 64);
-        body.push(self.kind().tag());
-        body.extend_from_slice(&self.seed().to_le_bytes());
-        body.extend_from_slice(&(self.window() as u32).to_le_bytes());
-        body.extend_from_slice(&(channels as u32).to_le_bytes());
-        body.extend_from_slice(&self.tau().to_le_bytes());
-        match self.drift_reference() {
-            Some(r) => {
-                body.push(1);
-                for v in r.to_flat() {
-                    body.extend_from_slice(&v.to_le_bytes());
+        Ok(seal(&IMDE, |e| {
+            e.u8(self.kind().tag());
+            e.u64(self.seed());
+            e.u32(self.window() as u32);
+            e.u32(channels as u32);
+            e.f64(self.tau());
+            match self.drift_reference() {
+                Some(r) => {
+                    e.u8(1);
+                    for v in r.to_flat() {
+                        e.f32(v);
+                    }
                 }
+                None => e.u8(0),
             }
-            None => body.push(0),
-        }
-        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&payload);
-
-        let mut out = Vec::with_capacity(body.len() + 12);
-        out.extend_from_slice(ENVELOPE_MAGIC);
-        out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        Ok(out)
+            e.bytes(&payload);
+        }))
     }
 
     /// Persists the envelope atomically (write-to-temp + rename).
@@ -140,7 +79,7 @@ impl AnyDetector {
         fallback_channels: usize,
         bytes: &[u8],
     ) -> Result<AnyDetector, DetectorError> {
-        if bytes.len() >= 4 && &bytes[..4] == LEGACY_MAGIC {
+        if bytes.starts_with(&IMDF.magic) {
             let model = Model::restore(
                 DetectorKind::ImDiffusion,
                 cfg,
@@ -159,19 +98,7 @@ impl AnyDetector {
                 model,
             ));
         }
-        let mut d = Dec::new(bytes);
-        if d.take(4)? != ENVELOPE_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = d.u32()?;
-        if version != ENVELOPE_VERSION {
-            return Err(corrupt(format!("unsupported version {version}")));
-        }
-        let stored_crc = d.u32()?;
-        let body = &bytes[d.pos..];
-        if crc32(body) != stored_crc {
-            return Err(corrupt("CRC mismatch"));
-        }
+        let (_, mut d) = open(&IMDE, bytes)?;
         let kind = DetectorKind::from_tag(d.u8()?)
             .ok_or_else(|| corrupt("unknown family tag"))?;
         let seed = d.u64()?;
@@ -202,7 +129,7 @@ impl AnyDetector {
         let drift_ref = match d.u8()? {
             0 => None,
             1 => {
-                let flat = d.f32s(4 * channels)?;
+                let flat = d.f32s_n(channels.saturating_mul(4))?;
                 Some(
                     DriftReference::from_flat(&flat, channels)
                         .ok_or_else(|| corrupt("malformed drift reference"))?,
@@ -210,11 +137,8 @@ impl AnyDetector {
             }
             other => return Err(corrupt(format!("bad drift flag {other}"))),
         };
-        let payload_len = d.u32()? as usize;
-        let payload = d.take(payload_len)?;
-        if d.pos != bytes.len() {
-            return Err(corrupt("trailing bytes"));
-        }
+        let payload = d.bytes()?;
+        d.finish()?;
         let model = Model::restore(kind, cfg, seed, channels, payload)?;
         // ImDiffusion's drift reference lives inside its IMDF payload; the
         // envelope copy is authoritative only for baseline families.
@@ -292,11 +216,11 @@ impl AnySpec {
 /// full decoding — what supervisors use to report the family of an
 /// on-disk checkpoint they haven't adopted yet.
 pub fn sniff_family(bytes: &[u8]) -> Option<DetectorKind> {
-    if bytes.len() >= 4 && &bytes[..4] == LEGACY_MAGIC {
+    if bytes.starts_with(&IMDF.magic) {
         return Some(DetectorKind::ImDiffusion);
     }
-    if bytes.len() >= 13 && &bytes[..4] == ENVELOPE_MAGIC {
-        return DetectorKind::from_tag(bytes[12]);
+    if bytes.starts_with(&IMDE.magic) {
+        return DetectorKind::from_tag(*bytes.get(HEADER_LEN)?);
     }
     None
 }

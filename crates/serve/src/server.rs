@@ -86,6 +86,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use imdiff_data::{DetectorError, Mts};
+use imdiff_metrics::point::confusion;
 use imdiff_nn::obs;
 use imdiff_registry::{evaluate_ladder, AnyDetector, AnySpec, DetectorKind};
 use imdiffusion::{
@@ -836,18 +837,12 @@ fn verdict_flags(outs: &[EnsembleOutput]) -> Vec<bool> {
     outs.iter().flat_map(|o| o.labels.iter().copied()).collect()
 }
 
-/// Point F1 with the convention that perfect agreement on "no anomalies
-/// anywhere" scores 1.0 (both models may legitimately flag nothing).
+/// Point F1 as `2tp / (2tp + fp + fn)`, with the convention that perfect
+/// agreement on "no anomalies anywhere" scores 1.0 (both models may
+/// legitimately flag nothing). Counts over the common prefix.
 fn point_f1(pred: &[bool], truth: &[bool]) -> f64 {
-    let (mut tp, mut fp, mut fn_) = (0u64, 0u64, 0u64);
-    for (&p, &t) in pred.iter().zip(truth) {
-        match (p, t) {
-            (true, true) => tp += 1,
-            (true, false) => fp += 1,
-            (false, true) => fn_ += 1,
-            (false, false) => {}
-        }
-    }
+    let n = pred.len().min(truth.len());
+    let (tp, fp, fn_) = confusion(&pred[..n], &truth[..n]);
     let denom = 2 * tp + fp + fn_;
     if denom == 0 {
         1.0

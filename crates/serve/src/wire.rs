@@ -26,6 +26,7 @@
 use std::fmt;
 use std::io::{Read, Write};
 
+use imdiff_nn::codec::{CodecError, Dec, Enc};
 use imdiff_nn::serialize::{crc32_finish, crc32_update, CRC32_INIT};
 
 /// Current protocol version byte. v2 added the idempotency sequence id on
@@ -155,6 +156,14 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// A payload that fails to decode is malformed; the frame around it was
+/// already CRC-checked.
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Malformed(e.to_string())
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Message types
@@ -527,65 +536,41 @@ pub fn scan_frame(buf: &[u8]) -> Result<Option<(u8, usize)>, WireError> {
 /// router depends on this: a shared upstream connection must never be
 /// poisoned by one client's malformed frame.
 pub fn peek_tenant(kind_byte: u8, payload: &[u8]) -> Result<Option<&str>, WireError> {
-    let early = || WireError::Malformed("payload ended early".into());
-    let short_str = |payload: &[u8]| -> Result<(usize, usize), WireError> {
-        if payload.len() < 2 {
-            return Err(early());
-        }
-        let n = u16::from_le_bytes([payload[0], payload[1]]) as usize;
-        if payload.len() < 2 + n {
-            return Err(early());
-        }
-        Ok((2, 2 + n))
-    };
-    match kind_byte {
+    let mut d = Dec::new(payload);
+    let tenant = match kind_byte {
         kind::SCORE => {
-            let (start, end) = short_str(payload)?;
-            let tenant = std::str::from_utf8(&payload[start..end])
-                .map_err(|_| WireError::Malformed("string is not UTF-8".into()))?;
-            // tenant ‖ seq:u64 ‖ start_row:u64 ‖ gap:u32 ‖ n:u32 ‖ c:u32 ‖ cells
-            let fixed = end.checked_add(8 + 8 + 4 + 4 + 4).ok_or_else(early)?;
-            if payload.len() < fixed {
-                return Err(early());
-            }
-            let grid = &payload[fixed - 8..fixed];
-            let n_rows = u32::from_le_bytes(grid[0..4].try_into().expect("4 bytes")) as usize;
-            let channels = u32::from_le_bytes(grid[4..8].try_into().expect("4 bytes")) as usize;
-            let ok = n_rows
-                .checked_mul(channels)
-                .and_then(|cells| cells.checked_mul(4))
-                .map(|bytes| bytes == payload.len() - fixed)
-                .unwrap_or(false);
-            if !ok {
-                return Err(WireError::Malformed(
-                    "row grid does not match payload size".into(),
-                ));
-            }
-            Ok(Some(tenant))
+            let tenant = d.str16()?;
+            d.take(8 + 8 + 4)?; // seq, start_row, gap_before
+            let (n_rows, channels) = score_grid(&mut d)?;
+            d.take(n_rows * channels * 4)?;
+            Some(tenant)
         }
-        kind::RELOAD | kind::ADOPT | kind::SNAPSHOT => {
-            let (start, end) = short_str(payload)?;
-            if end != payload.len() {
-                return Err(WireError::Malformed(format!(
-                    "{} unexpected bytes after payload",
-                    payload.len() - end
-                )));
-            }
-            std::str::from_utf8(&payload[start..end])
-                .map(Some)
-                .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-        }
-        kind::HEALTH | kind::OBS_SNAPSHOT | kind::DRAIN | kind::PING => {
-            if !payload.is_empty() {
-                return Err(WireError::Malformed(format!(
-                    "{} unexpected bytes after payload",
-                    payload.len()
-                )));
-            }
-            Ok(None)
-        }
-        other => Err(WireError::UnknownKind(other)),
+        kind::RELOAD | kind::ADOPT | kind::SNAPSHOT => Some(d.str16()?),
+        kind::HEALTH | kind::OBS_SNAPSHOT | kind::DRAIN | kind::PING => None,
+        other => return Err(WireError::UnknownKind(other)),
+    };
+    d.finish()?;
+    Ok(tenant)
+}
+
+/// Reads a score request's `n_rows ‖ channels` header and checks that
+/// the cells fill the rest of the payload exactly. Rows without channels
+/// are refused: they occupy no bytes, so no payload size could bound
+/// their count. Shared by [`peek_tenant`] and [`Request::decode`], so
+/// the router forwards exactly what a replica will decode.
+fn score_grid(d: &mut Dec) -> Result<(usize, usize), WireError> {
+    let n_rows = d.u32()? as usize;
+    let channels = d.u32()? as usize;
+    let fits = n_rows
+        .checked_mul(channels)
+        .and_then(|cells| cells.checked_mul(4))
+        .is_some_and(|bytes| bytes == d.rest().len());
+    if !fits || (channels == 0 && n_rows > 0) {
+        return Err(WireError::Malformed(
+            "row grid does not match payload size".into(),
+        ));
     }
+    Ok((n_rows, channels))
 }
 
 /// Parses one frame from `buf`, requiring the buffer to contain exactly
@@ -693,94 +678,6 @@ pub fn write_frame<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> Result<(), 
 }
 
 // ---------------------------------------------------------------------------
-// Payload cursor
-// ---------------------------------------------------------------------------
-
-struct Cur<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(b: &'a [u8]) -> Cur<'a> {
-        Cur { b, i: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .i
-            .checked_add(n)
-            .filter(|&e| e <= self.b.len())
-            .ok_or_else(|| WireError::Malformed("payload ended early".into()))?;
-        let s = &self.b[self.i..end];
-        self.i = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A `u16` length-prefixed UTF-8 string (tenant ids).
-    fn short_str(&mut self) -> Result<String, WireError> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// A `u32` length-prefixed UTF-8 string (messages, JSON).
-    fn long_str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        if self.i == self.b.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} unexpected bytes after payload",
-                self.b.len() - self.i
-            )))
-        }
-    }
-}
-
-fn put_short_str(out: &mut Vec<u8>, s: &str) {
-    assert!(s.len() <= u16::MAX as usize, "string too long for u16 prefix");
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_long_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-// ---------------------------------------------------------------------------
 // Request codec
 // ---------------------------------------------------------------------------
 
@@ -801,7 +698,7 @@ impl Request {
 
     /// Encodes the payload (without the frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut e = Enc::new();
         match self {
             Request::Score {
                 tenant,
@@ -810,29 +707,29 @@ impl Request {
                 gap_before,
                 rows,
             } => {
-                put_short_str(&mut out, tenant);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&start_row.to_le_bytes());
-                out.extend_from_slice(&gap_before.to_le_bytes());
+                e.str16(tenant);
+                e.u64(*seq);
+                e.u64(*start_row);
+                e.u32(*gap_before);
                 let channels = rows.first().map_or(0, Vec::len);
                 assert!(
                     rows.iter().all(|r| r.len() == channels),
                     "score rows must be rectangular"
                 );
-                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-                out.extend_from_slice(&(channels as u32).to_le_bytes());
+                e.u32(rows.len() as u32);
+                e.u32(channels as u32);
                 for row in rows {
-                    for v in row {
-                        out.extend_from_slice(&v.to_le_bytes());
+                    for &v in row {
+                        e.f32(v);
                     }
                 }
             }
             Request::Reload { tenant }
             | Request::Adopt { tenant }
-            | Request::Snapshot { tenant } => put_short_str(&mut out, tenant),
+            | Request::Snapshot { tenant } => e.str16(tenant),
             Request::Health | Request::ObsSnapshot | Request::Drain | Request::Ping => {}
         }
-        out
+        e.into_vec()
     }
 
     /// Serializes the request as one complete frame.
@@ -848,30 +745,17 @@ impl Request {
 
     /// Decodes a request payload for `kind`.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Request, WireError> {
-        let mut c = Cur::new(payload);
+        let mut d = Dec::new(payload);
         let req = match kind_byte {
             kind::SCORE => {
-                let tenant = c.short_str()?;
-                let seq = c.u64()?;
-                let start_row = c.u64()?;
-                let gap_before = c.u32()?;
-                let n_rows = c.u32()? as usize;
-                let channels = c.u32()? as usize;
-                let cells = n_rows
-                    .checked_mul(channels)
-                    .filter(|&n| n * 4 == payload.len() - c.i)
-                    .ok_or_else(|| {
-                        WireError::Malformed("row grid does not match payload size".into())
-                    })?;
-                let _ = cells;
-                let mut rows = Vec::with_capacity(n_rows);
-                for _ in 0..n_rows {
-                    let mut row = Vec::with_capacity(channels);
-                    for _ in 0..channels {
-                        row.push(c.f32()?);
-                    }
-                    rows.push(row);
-                }
+                let tenant = d.str16()?.to_owned();
+                let seq = d.u64()?;
+                let start_row = d.u64()?;
+                let gap_before = d.u32()?;
+                let (n_rows, channels) = score_grid(&mut d)?;
+                let rows = (0..n_rows)
+                    .map(|_| d.f32s_n(channels))
+                    .collect::<Result<Vec<_>, _>>()?;
                 Request::Score {
                     tenant,
                     seq,
@@ -883,19 +767,19 @@ impl Request {
             kind::HEALTH => Request::Health,
             kind::OBS_SNAPSHOT => Request::ObsSnapshot,
             kind::RELOAD => Request::Reload {
-                tenant: c.short_str()?,
+                tenant: d.str16()?.to_owned(),
             },
             kind::DRAIN => Request::Drain,
             kind::PING => Request::Ping,
             kind::ADOPT => Request::Adopt {
-                tenant: c.short_str()?,
+                tenant: d.str16()?.to_owned(),
             },
             kind::SNAPSHOT => Request::Snapshot {
-                tenant: c.short_str()?,
+                tenant: d.str16()?.to_owned(),
             },
             other => return Err(WireError::UnknownKind(other)),
         };
-        c.finish()?;
+        d.finish()?;
         Ok(req)
     }
 }
@@ -919,43 +803,43 @@ impl Response {
 
     /// Encodes the payload (without the frame header).
     pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut e = Enc::new();
         match self {
             Response::Verdicts {
                 generation,
                 verdicts,
             } => {
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.extend_from_slice(&(verdicts.len() as u32).to_le_bytes());
+                e.u64(*generation);
+                e.u32(verdicts.len() as u32);
                 for v in verdicts {
-                    out.extend_from_slice(&v.index.to_le_bytes());
-                    out.extend_from_slice(&v.score.to_le_bytes());
-                    out.extend_from_slice(&v.votes.to_le_bytes());
-                    out.push(u8::from(v.anomalous) | (u8::from(v.degraded) << 1));
+                    e.u64(v.index);
+                    e.f64(v.score);
+                    e.u32(v.votes);
+                    e.u8(u8::from(v.anomalous) | (u8::from(v.degraded) << 1));
                 }
             }
             Response::Error { code, message } => {
-                out.push(*code as u8);
-                put_long_str(&mut out, message);
+                e.u8(*code as u8);
+                e.str32(message);
             }
             Response::Health { tenants } => {
-                out.extend_from_slice(&(tenants.len() as u32).to_le_bytes());
+                e.u32(tenants.len() as u32);
                 for t in tenants {
-                    put_short_str(&mut out, &t.id);
-                    out.push(t.state as u8);
-                    out.extend_from_slice(&t.generation.to_le_bytes());
-                    out.extend_from_slice(&t.rows_seen.to_le_bytes());
-                    out.extend_from_slice(&t.rows_rejected.to_le_bytes());
-                    out.extend_from_slice(&t.degraded_evals.to_le_bytes());
-                    out.extend_from_slice(&t.rewarms.to_le_bytes());
-                    out.extend_from_slice(&t.recoveries.to_le_bytes());
-                    out.extend_from_slice(&t.queue_depth.to_le_bytes());
-                    out.push(u8::from(t.drifted));
-                    out.extend_from_slice(&t.drift_trips.to_le_bytes());
-                    put_short_str(&mut out, &t.family);
+                    e.str16(&t.id);
+                    e.u8(t.state as u8);
+                    e.u64(t.generation);
+                    e.u64(t.rows_seen);
+                    e.u64(t.rows_rejected);
+                    e.u64(t.degraded_evals);
+                    e.u64(t.rewarms);
+                    e.u64(t.recoveries);
+                    e.u32(t.queue_depth);
+                    e.u8(u8::from(t.drifted));
+                    e.u64(t.drift_trips);
+                    e.str16(&t.family);
                 }
             }
-            Response::ObsJson { json } => put_long_str(&mut out, json),
+            Response::ObsJson { json } => e.str32(json),
             Response::Ok => {}
             Response::ReloadStatus {
                 generation,
@@ -963,13 +847,13 @@ impl Response {
                 detail,
                 family,
             } => {
-                out.extend_from_slice(&generation.to_le_bytes());
-                out.push(*verdict as u8);
-                put_long_str(&mut out, detail);
-                put_short_str(&mut out, family);
+                e.u64(*generation);
+                e.u8(*verdict as u8);
+                e.str32(detail);
+                e.str16(family);
             }
         }
-        out
+        e.into_vec()
     }
 
     /// Serializes the response as one complete frame.
@@ -985,11 +869,11 @@ impl Response {
 
     /// Decodes a response payload for `kind`.
     pub fn decode(kind_byte: u8, payload: &[u8]) -> Result<Response, WireError> {
-        let mut c = Cur::new(payload);
+        let mut d = Dec::new(payload);
         let resp = match kind_byte {
             kind::VERDICTS => {
-                let generation = c.u64()?;
-                let n = c.u32()? as usize;
+                let generation = d.u64()?;
+                let n = d.u32()? as usize;
                 // 8 + 8 + 4 + 1 bytes per verdict: reject absurd counts
                 // before allocating.
                 if n.checked_mul(21) != Some(payload.len().saturating_sub(12)) {
@@ -999,10 +883,10 @@ impl Response {
                 }
                 let mut verdicts = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let index = c.u64()?;
-                    let score = c.f64()?;
-                    let votes = c.u32()?;
-                    let flags = c.u8()?;
+                    let index = d.u64()?;
+                    let score = d.f64()?;
+                    let votes = d.u32()?;
+                    let flags = d.u8()?;
                     if flags & !0b11 != 0 {
                         return Err(WireError::Malformed(format!(
                             "unknown verdict flags {flags:#04x}"
@@ -1022,17 +906,17 @@ impl Response {
                 }
             }
             kind::ERROR => {
-                let code_byte = c.u8()?;
+                let code_byte = d.u8()?;
                 let code = ErrorCode::from_u8(code_byte).ok_or_else(|| {
                     WireError::Malformed(format!("unknown error code {code_byte}"))
                 })?;
                 Response::Error {
                     code,
-                    message: c.long_str()?,
+                    message: d.str32()?.to_owned(),
                 }
             }
             kind::HEALTH_REPORT => {
-                let n = c.u32()? as usize;
+                let n = d.u32()? as usize;
                 // Each entry is at least 64 bytes (empty id).
                 if n.checked_mul(64).is_none_or(|min| min > payload.len()) {
                     return Err(WireError::Malformed(
@@ -1041,19 +925,19 @@ impl Response {
                 }
                 let mut tenants = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let id = c.short_str()?;
-                    let state_byte = c.u8()?;
+                    let id = d.str16()?.to_owned();
+                    let state_byte = d.u8()?;
                     let state = WireHealthState::from_u8(state_byte).ok_or_else(|| {
                         WireError::Malformed(format!("unknown health state {state_byte}"))
                     })?;
-                    let generation = c.u64()?;
-                    let rows_seen = c.u64()?;
-                    let rows_rejected = c.u64()?;
-                    let degraded_evals = c.u64()?;
-                    let rewarms = c.u64()?;
-                    let recoveries = c.u64()?;
-                    let queue_depth = c.u32()?;
-                    let drifted_byte = c.u8()?;
+                    let generation = d.u64()?;
+                    let rows_seen = d.u64()?;
+                    let rows_rejected = d.u64()?;
+                    let degraded_evals = d.u64()?;
+                    let rewarms = d.u64()?;
+                    let recoveries = d.u64()?;
+                    let queue_depth = d.u32()?;
+                    let drifted_byte = d.u8()?;
                     if drifted_byte > 1 {
                         return Err(WireError::Malformed(format!(
                             "bad drifted flag {drifted_byte}"
@@ -1070,19 +954,19 @@ impl Response {
                         recoveries,
                         queue_depth,
                         drifted: drifted_byte == 1,
-                        drift_trips: c.u64()?,
-                        family: c.short_str()?,
+                        drift_trips: d.u64()?,
+                        family: d.str16()?.to_owned(),
                     });
                 }
                 Response::Health { tenants }
             }
             kind::OBS_JSON => Response::ObsJson {
-                json: c.long_str()?,
+                json: d.str32()?.to_owned(),
             },
             kind::OK => Response::Ok,
             kind::RELOAD_STATUS => {
-                let generation = c.u64()?;
-                let verdict_byte = c.u8()?;
+                let generation = d.u64()?;
+                let verdict_byte = d.u8()?;
                 let verdict = PromotionVerdict::from_u8(verdict_byte).ok_or_else(|| {
                     WireError::Malformed(format!(
                         "unknown promotion verdict {verdict_byte}"
@@ -1091,13 +975,13 @@ impl Response {
                 Response::ReloadStatus {
                     generation,
                     verdict,
-                    detail: c.long_str()?,
-                    family: c.short_str()?,
+                    detail: d.str32()?.to_owned(),
+                    family: d.str16()?.to_owned(),
                 }
             }
             other => return Err(WireError::UnknownKind(other)),
         };
-        c.finish()?;
+        d.finish()?;
         Ok(resp)
     }
 }
@@ -1240,6 +1124,49 @@ mod tests {
             peek_tenant(kind::VERDICTS, &[]),
             Err(WireError::UnknownKind(_))
         ));
+    }
+
+    /// Rows without channels occupy no payload bytes, so the size check
+    /// alone cannot bound their count: a `u32::MAX`-row grid of zero
+    /// channels must be refused by both the router's peek and the decode,
+    /// not allocated.
+    #[test]
+    fn zero_channel_grid_with_rows_is_malformed() {
+        for n_rows in [1, 3, u32::MAX] {
+            let mut e = Enc::new();
+            e.str16("t0");
+            e.u64(1);
+            e.u64(u64::MAX);
+            e.u32(0);
+            e.u32(n_rows);
+            e.u32(0);
+            let payload = e.into_vec();
+            assert!(
+                matches!(
+                    peek_tenant(kind::SCORE, &payload),
+                    Err(WireError::Malformed(_))
+                ),
+                "peek_tenant accepted {n_rows} zero-channel rows"
+            );
+            assert!(
+                matches!(
+                    Request::decode(kind::SCORE, &payload),
+                    Err(WireError::Malformed(_))
+                ),
+                "decode accepted {n_rows} zero-channel rows"
+            );
+        }
+        // An empty grid stays valid.
+        let empty = Request::Score {
+            tenant: "t0".into(),
+            seq: 0,
+            start_row: u64::MAX,
+            gap_before: 0,
+            rows: Vec::new(),
+        };
+        let payload = empty.encode_payload();
+        assert_eq!(peek_tenant(kind::SCORE, &payload), Ok(Some("t0")));
+        assert_eq!(Request::decode(kind::SCORE, &payload), Ok(empty));
     }
 
     fn sample_requests() -> Vec<Request> {

@@ -8,12 +8,24 @@
 //! A kernel rewrite that claims to be bit-identical must leave every
 //! digest here unchanged; a deliberate numerics change repins them and
 //! says so in CHANGES.md.
+//!
+//! The same file pins one byte image of every checkpoint format (IMDF
+//! weights, IMSM stream sidecar, IMDE registry envelope, IMTS trainer
+//! state): a change to how a format is written must leave those digests
+//! unchanged.
 
-use imdiffusion_repro::core::{ensemble_infer_for_tests, ImDiffusionConfig, ImTransformer};
+use imdiffusion_repro::core::{
+    ensemble_infer_for_tests, stream_path, ImDiffusionConfig, ImTransformer, StreamingMonitor,
+    Trainer, TrainerOptions,
+};
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
+use imdiffusion_repro::data::{Detector, Mts};
 use imdiffusion_repro::diffusion::NoiseSchedule;
+use imdiffusion_repro::nn::layers::{Linear, Module};
+use imdiffusion_repro::nn::serialize::save_params;
 use imdiffusion_repro::nn::simd::{self, Tier};
 use imdiffusion_repro::nn::{forward_only, pool, rng::seeded, Tensor};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 
 /// SMD channel count, as in the benchmark.
 const K: usize = 38;
@@ -157,5 +169,159 @@ fn ensemble_infer_digest_is_pinned() {
                 "ensemble_infer digest, tier={tier:?} threads={t}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint byte images
+// ---------------------------------------------------------------------------
+//
+// One image of each persisted format, built from fixed seeds and inputs,
+// reduced to an FNV-1a digest of its bytes. A change to how a format is
+// written must leave these unchanged: every one of them is read back by
+// deployed code. Images whose content comes from training (the ImDiffusion
+// envelope and the trainer state) are pinned per tier; the rest hold on
+// every tier.
+
+/// Tier-independent image digests: `(IMDF, IMSM, IMDE ZScore, IMDE IForest)`.
+const IMAGE_PINS: (u64, u64, u64, u64) = (
+    0x67a1_c7fd_c954_6b47,
+    0x4f0a_771d_c3cb_7273,
+    0xca7d_4b8a_4dd7_e36c,
+    0x5bf0_874d_c451_fac8,
+);
+
+/// Per-tier image digests: `(tier, IMDE ImDiffusion, IMTS)`.
+const TRAINED_IMAGE_PINS: [(Tier, u64, u64); 2] = [
+    (Tier::Scalar, 0xe458_6951_df08_27a4, 0xc7fb_7718_d401_4c5d),
+    (Tier::Avx2Fma, 0x7128_888c_32f9_2614, 0xa8df_4dcd_21e8_541d),
+];
+
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    for &b in bytes {
+        h.eat(b as u64);
+    }
+    h.eat(bytes.len() as u64);
+    h.0
+}
+
+fn scratch(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("imdf-pin-{}-{name}", std::process::id()))
+}
+
+/// A small, fast configuration for the trained images.
+fn tiny_cfg() -> ImDiffusionConfig {
+    ImDiffusionConfig {
+        window: 16,
+        train_stride: 8,
+        hidden: 8,
+        heads: 2,
+        residual_blocks: 1,
+        diffusion_steps: 5,
+        train_steps: 6,
+        batch_size: 2,
+        vote_span: 5,
+        vote_every: 2,
+        ..ImDiffusionConfig::quick()
+    }
+}
+
+fn gcp() -> (Mts, Mts) {
+    let ds = generate(
+        Benchmark::Gcp,
+        &SizeProfile {
+            train_len: 64,
+            test_len: 40,
+        },
+        MODEL_SEED,
+    );
+    (ds.train, ds.test)
+}
+
+fn fitted(kind: DetectorKind, train: &Mts) -> AnyDetector {
+    let mut det = AnyDetector::new(kind, tiny_cfg(), MODEL_SEED);
+    det.fit(train).expect("fit");
+    det
+}
+
+#[test]
+fn tier_independent_images_are_pinned() {
+    // IMDF: two seeded layers through the standalone weight writer.
+    let a = Linear::new(&mut seeded(MODEL_SEED), 5, 3);
+    let b = Linear::new(&mut seeded(MODEL_SEED + 1), 3, 2);
+    let mut params = a.params();
+    params.extend(b.params());
+    let path = scratch("weights.imdf");
+    save_params(&path, &params).unwrap();
+    let imdf = bytes_digest(&std::fs::read(&path).unwrap());
+    std::fs::remove_file(&path).ok();
+
+    // IMSM: the sidecar of a z-score monitor fed part of a stream, with a
+    // missing cell and a drift tracker armed.
+    let (train, test) = gcp();
+    let det = fitted(DetectorKind::ZScore, &train);
+    let zscore = bytes_digest(&det.save_bytes().unwrap());
+    let mut monitor = StreamingMonitor::new(det, train.dim(), 4).unwrap();
+    assert!(monitor.set_drift_policy(2.5, 2));
+    for l in 0..30 {
+        let mut row = test.row(l).to_vec();
+        if l == 7 {
+            row[0] = f32::NAN;
+        }
+        monitor.push(&row).unwrap();
+    }
+    let path = scratch("monitor.ckpt");
+    monitor.checkpoint_stream(&path).unwrap();
+    let sidecar = stream_path(&path);
+    let imsm = bytes_digest(&std::fs::read(&sidecar).unwrap());
+    std::fs::remove_file(&sidecar).ok();
+
+    let iforest = bytes_digest(&fitted(DetectorKind::IForest, &train).save_bytes().unwrap());
+
+    let got = (imdf, imsm, zscore, iforest);
+    println!(
+        "images imdf={imdf:#018x} imsm={imsm:#018x} zscore={zscore:#018x} iforest={iforest:#018x}"
+    );
+    assert_eq!(got, IMAGE_PINS, "(IMDF, IMSM, IMDE ZScore, IMDE IForest)");
+}
+
+#[test]
+fn trained_images_are_pinned() {
+    let (train, _) = gcp();
+    let cfg = tiny_cfg();
+    for tier in tiers() {
+        let (imde, imts) = simd::with_tier(tier, || {
+            let imde = bytes_digest(
+                &fitted(DetectorKind::ImDiffusion, &train)
+                    .save_bytes()
+                    .unwrap(),
+            );
+            let path = scratch(&format!("trainer-{}.imts", tier.name()));
+            let model = ImTransformer::new(&cfg, train.dim(), MODEL_SEED);
+            let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
+            Trainer::new(TrainerOptions {
+                checkpoint_every: 3,
+                checkpoint_path: Some(path.clone()),
+                stop_after: Some(3),
+                ema: Some(0.9),
+                ..TrainerOptions::default()
+            })
+            .run(&model, &cfg, &schedule, &train, MODEL_SEED)
+            .unwrap();
+            let imts = bytes_digest(&std::fs::read(&path).unwrap());
+            std::fs::remove_file(&path).ok();
+            (imde, imts)
+        });
+        println!(
+            "trained images tier={} imde={imde:#018x} imts={imts:#018x}",
+            tier.name()
+        );
+        let &(_, want_imde, want_imts) = TRAINED_IMAGE_PINS
+            .iter()
+            .find(|p| p.0 == tier)
+            .expect("pinned tier");
+        assert_eq!(imde, want_imde, "IMDE ImDiffusion, tier={tier:?}");
+        assert_eq!(imts, want_imts, "IMTS, tier={tier:?}");
     }
 }

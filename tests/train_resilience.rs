@@ -14,8 +14,11 @@ use imdiffusion_repro::core::{
 };
 use imdiffusion_repro::data::{Detector, DetectorError, Mts};
 use imdiffusion_repro::diffusion::NoiseSchedule;
+use imdiffusion_repro::nn::codec::{Frame, HEADER_LEN, IMDE, IMDF, IMSM, IMTS};
 use imdiffusion_repro::nn::layers::Module;
+use imdiffusion_repro::nn::serialize::crc32;
 use imdiffusion_repro::nn::{pool, Tensor};
+use imdiffusion_repro::registry::{AnyDetector, DetectorKind};
 use proptest::prelude::*;
 
 const MODEL_SEED: u64 = 3;
@@ -478,5 +481,98 @@ proptest! {
             matches!(r, Err(DetectorError::CorruptCheckpoint(_))),
             "truncated IMTS must be corrupt"
         );
+    }
+}
+
+/// Every format against every frame-level damage: a bad magic, a header
+/// cut short, a version newer than this build writes, and one flipped
+/// payload bit must each be `CorruptCheckpoint`; the version-1 image of
+/// each format (the current version for `IMDE`) must load.
+#[test]
+fn every_format_rejects_frame_damage_with_typed_errors() {
+    let a = artifacts();
+    let cfg = corrupt_cfg();
+    let k = a.channels;
+    let schedule = NoiseSchedule::new(cfg.schedule, cfg.diffusion_steps);
+    let imde = {
+        let mut det = AnyDetector::new(DetectorKind::ZScore, cfg.clone(), MODEL_SEED);
+        det.fit(train_series()).unwrap();
+        det.save_bytes().unwrap()
+    };
+
+    let load_imdf =
+        |b: &[u8]| ImDiffusionDetector::load_bytes(cfg.clone(), MODEL_SEED, k, b).map(drop);
+    let load_imsm = |b: &[u8]| {
+        let base = tmp("frames.imdf");
+        let mut os = base.as_os_str().to_owned();
+        os.push(".stream");
+        let stream = PathBuf::from(os);
+        std::fs::write(&base, &a.imdf).unwrap();
+        std::fs::write(&stream, b).unwrap();
+        let r = StreamingMonitor::restore(cfg.clone(), MODEL_SEED, &base).map(drop);
+        std::fs::remove_file(&base).ok();
+        std::fs::remove_file(&stream).ok();
+        r
+    };
+    let load_imts = |b: &[u8]| {
+        let path = tmp("frames.imts");
+        std::fs::write(&path, b).unwrap();
+        let model = ImTransformer::new(&cfg, k, MODEL_SEED);
+        let r = train_resume(&model, &cfg, &schedule, train_series(), TRAIN_SEED, &path);
+        std::fs::remove_file(&path).ok();
+        r.map(drop)
+    };
+    let load_imde = |b: &[u8]| AnyDetector::load_bytes(&cfg, MODEL_SEED, k, b).map(drop);
+
+    /// A version-1 header (with a CRC when v1 carries one) over `payload`.
+    fn v1(frame: &Frame, payload: &[u8]) -> Vec<u8> {
+        let mut out = frame.magic.to_vec();
+        out.extend_from_slice(&1u32.to_le_bytes());
+        if frame.crc_since == 1 {
+            out.extend_from_slice(&crc32(payload).to_le_bytes());
+        }
+        out.extend_from_slice(payload);
+        out
+    }
+    type Load<'a> = &'a dyn Fn(&[u8]) -> Result<(), DetectorError>;
+    // The IMTS artifact runs without EMA: its v1 payload is the current
+    // one minus the trailing EMA flag byte.
+    let cases: [(Frame, &[u8], Vec<u8>, Load); 4] = [
+        (IMDF, &a.imdf, v1(&IMDF, &a.imdf[HEADER_LEN..]), &load_imdf),
+        (IMSM, &a.imsm, v1(&IMSM, &a.imsm[HEADER_LEN..]), &load_imsm),
+        (
+            IMTS,
+            &a.imts,
+            v1(&IMTS, &a.imts[HEADER_LEN..a.imts.len() - 1]),
+            &load_imts,
+        ),
+        (IMDE, &imde, imde.clone(), &load_imde),
+    ];
+
+    for (frame, pristine, v1_image, load) in cases {
+        assert_eq!(&pristine[..4], &frame.magic);
+        let mut bad_magic = pristine.to_vec();
+        bad_magic[..4].copy_from_slice(b"XXXX");
+        let mut future = pristine.to_vec();
+        future[4..8].copy_from_slice(&(frame.version + 1).to_le_bytes());
+        let flipped = flip(pristine, HEADER_LEN + (pristine.len() - HEADER_LEN) / 2, 0);
+        let damaged = [
+            ("bad magic", bad_magic),
+            ("truncated header", pristine[..HEADER_LEN - 2].to_vec()),
+            ("future version", future),
+            ("flipped payload bit", flipped),
+        ];
+        for (what, bytes) in damaged {
+            match load(&bytes) {
+                Err(DetectorError::CorruptCheckpoint(_)) => {}
+                other => panic!(
+                    "{} {what}: expected CorruptCheckpoint, got {other:?}",
+                    frame.what
+                ),
+            }
+        }
+        if let Err(e) = load(&v1_image) {
+            panic!("{} version-1 image: {e}", frame.what);
+        }
     }
 }
