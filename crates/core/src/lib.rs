@@ -41,6 +41,7 @@ mod ablation;
 mod config;
 mod detector;
 mod finetune;
+mod history;
 mod infer;
 mod model;
 mod persist;

@@ -28,6 +28,7 @@ use imdiff_nn::serialize::{atomic_write, params_image, read_params};
 use imdiff_nn::{NnError, Tensor};
 
 use crate::detector::ImDiffusionDetector;
+use crate::history::RollingHistory;
 use crate::scorer::WindowScorer;
 use crate::streaming::{
     ChannelStats, DriftReference, HealthState, StreamingMonitor, ThresholdMode,
@@ -195,13 +196,11 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         for (row, miss) in self.buffer.iter().zip(&self.missing) {
             put_row(e, row, miss);
         }
-        e.u32(self.error_history.len() as u32);
-        for &v in &self.error_history {
-            e.f64(v);
-        }
-        e.u32(self.fallback_history.len() as u32);
-        for &v in &self.fallback_history {
-            e.f64(v);
+        for history in [&self.error_history, &self.fallback_history] {
+            e.u32(history.len() as u32);
+            for v in history.iter() {
+                e.f64(v);
+            }
         }
         for st in &self.fallback_stats {
             e.u64(st.count);
@@ -274,12 +273,12 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         monitor.seen = st.seen;
         monitor.since_eval = st.since_eval;
         monitor.threshold_mode = st.threshold_mode;
-        monitor.error_history = st.error_history;
+        monitor.error_history = RollingHistory::from_ring(st.error_history, HISTORY_CAP);
         monitor.health = st.health;
         monitor.pending_gap = st.pending_gap;
         monitor.max_bridge = st.max_bridge;
         monitor.fallback_stats = st.fallback_stats;
-        monitor.fallback_history = st.fallback_history;
+        monitor.fallback_history = RollingHistory::from_ring(st.fallback_history, HISTORY_CAP);
         monitor.fallback_tau = st.fallback_tau;
         monitor.last_degraded_reason = st.last_degraded_reason;
         monitor.rows_rejected = st.rows_rejected;
@@ -417,6 +416,18 @@ fn take_rows(d: &mut Dec, n: usize, channels: usize) -> Result<Vec<Row>, Detecto
     Ok(rows)
 }
 
+/// Reads one length-prefixed score history, refusing more entries than
+/// the monitor's rolling cap (no writer emits more).
+fn take_history(d: &mut Dec) -> Result<VecDeque<f64>, DetectorError> {
+    let n = d.count(8)?;
+    if n > HISTORY_CAP {
+        return Err(DetectorError::CorruptCheckpoint(format!(
+            "checkpoint history has {n} entries, cap is {HISTORY_CAP}"
+        )));
+    }
+    (0..n).map(|_| Ok(d.f64()?)).collect()
+}
+
 /// Parses an IMSM sidecar image (any supported version) into
 /// [`StreamState`]: the frame check, then structural bounds on the buffer
 /// and drift ring.
@@ -475,16 +486,8 @@ fn parse_stream_sidecar(bytes: &[u8]) -> Result<StreamState, DetectorError> {
         )));
     }
     let (buffer, missing) = take_rows(&mut d, n_rows, channels)?.into_iter().unzip();
-    let n_err = d.count(8)?;
-    let mut error_history = VecDeque::with_capacity(HISTORY_CAP);
-    for _ in 0..n_err {
-        error_history.push_back(d.f64()?);
-    }
-    let n_fb = d.count(8)?;
-    let mut fallback_history = VecDeque::with_capacity(HISTORY_CAP);
-    for _ in 0..n_fb {
-        fallback_history.push_back(d.f64()?);
-    }
+    let error_history = take_history(&mut d)?;
+    let fallback_history = take_history(&mut d)?;
     let fallback_stats = (0..d.fits(channels, 24)?)
         .map(|_| {
             Ok(ChannelStats {
@@ -951,6 +954,46 @@ mod tests {
                 parse_stream_sidecar(&image),
                 Err(DetectorError::CorruptCheckpoint(_))
             ));
+        }
+    }
+
+    /// A history longer than the rolling cap is corrupt: no writer emits
+    /// one, and the monitor's sorted copies assume the cap holds.
+    #[test]
+    fn history_over_cap_is_corrupt() {
+        let cap = HISTORY_CAP;
+        for (n_err, n_fb) in [(cap + 1, 0), (0, cap + 1), (cap, cap)] {
+            let image = seal(&IMSM, |e| {
+                e.u32(16); // window
+                e.u32(4); // hop
+                e.u32(1); // channels
+                e.u8(0);
+                e.f64(0.0);
+                e.u64(0); // seen
+                e.u32(0); // since_eval
+                e.u8(2); // Warming
+                e.u32(0);
+                e.u32(4);
+                for _ in 0..7 {
+                    e.u64(0);
+                }
+                e.u8(0);
+                e.f64(0.0);
+                e.str32("");
+                e.u32(0); // no buffered rows
+                e.f64s(&vec![1.0; n_err]);
+                e.f64s(&vec![1.0; n_fb]);
+                e.u64(0);
+                e.f64(0.0);
+                e.f64(0.0);
+                e.u8(0); // no drift block
+            });
+            let parsed = parse_stream_sidecar(&image);
+            if n_err > cap || n_fb > cap {
+                assert!(matches!(parsed, Err(DetectorError::CorruptCheckpoint(_))));
+            } else {
+                assert!(parsed.is_ok());
+            }
         }
     }
 

@@ -36,17 +36,18 @@
 use std::collections::VecDeque;
 
 use imdiff_data::{DetectorError, Mts};
-use imdiff_metrics::{pot_threshold, threshold_at_percentile};
+use imdiff_metrics::pot_fit;
 use imdiff_nn::obs;
 use imdiff_nn::pool;
 
 use crate::detector::ImDiffusionDetector;
+use crate::history::RollingHistory;
 use crate::infer::EnsembleOutput;
 use crate::scorer::WindowScorer;
 
-/// Maximum error-history length kept for dynamic thresholding. Shared
-/// with the checkpoint reader in `persist.rs` so the restore pre-sizing
-/// can never drift from the live rolling cap.
+/// Capacity of the rolling error and fallback-score histories. Shared
+/// with the checkpoint reader in `persist.rs`, which refuses longer
+/// histories, so a restore can never drift from the live rolling cap.
 pub(crate) const HISTORY_CAP: usize = 4096;
 
 /// Minimum healthy-score history before the z-score fallback trusts its
@@ -517,7 +518,7 @@ pub struct StreamingMonitor<D = ImDiffusionDetector> {
     pub(crate) since_eval: usize,
     pub(crate) threshold_mode: ThresholdMode,
     /// Rolling history of final-step errors for dynamic thresholding.
-    pub(crate) error_history: VecDeque<f64>,
+    pub(crate) error_history: RollingHistory,
     pub(crate) health: HealthState,
     /// Gap length reported by `notify_gap`, applied on the next push.
     pub(crate) pending_gap: usize,
@@ -526,7 +527,7 @@ pub struct StreamingMonitor<D = ImDiffusionDetector> {
     /// Per-channel running statistics for the z-score fallback.
     pub(crate) fallback_stats: Vec<ChannelStats>,
     /// Rolling history of fallback scores (threshold calibration).
-    pub(crate) fallback_history: VecDeque<f64>,
+    pub(crate) fallback_history: RollingHistory,
     /// Fallback threshold last calibrated while Healthy.
     pub(crate) fallback_tau: Option<f64>,
     /// Why the most recent evaluation degraded, for operators.
@@ -584,12 +585,12 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             seen: 0,
             since_eval: 0,
             threshold_mode: ThresholdMode::Native,
-            error_history: VecDeque::with_capacity(HISTORY_CAP),
+            error_history: RollingHistory::new(HISTORY_CAP),
             health: HealthState::Warming,
             pending_gap: 0,
             max_bridge: (window / 4).max(1),
             fallback_stats: vec![ChannelStats::new(); channels],
-            fallback_history: VecDeque::with_capacity(HISTORY_CAP),
+            fallback_history: RollingHistory::new(HISTORY_CAP),
             fallback_tau: None,
             last_degraded_reason: None,
             rows_rejected: 0,
@@ -1023,10 +1024,7 @@ impl<D: WindowScorer> StreamingMonitor<D> {
         // Update fallback statistics and score *before* folding this row
         // in, so a wildly anomalous row cannot vouch for itself.
         let score = self.fallback_score(&row, &miss);
-        if self.fallback_history.len() == HISTORY_CAP {
-            self.fallback_history.pop_front();
-        }
-        self.fallback_history.push_back(score);
+        self.fallback_history.push(score);
         for c in 0..self.channels {
             if !miss[c] && row[c].is_finite() {
                 self.fallback_stats[c].update(row[c] as f64);
@@ -1106,10 +1104,8 @@ impl<D: WindowScorer> StreamingMonitor<D> {
                 self.fallback_score(&self.buffer[pos], &self.missing[pos])
             })
             .collect();
-        let prepared_tau = (self.fallback_history.len() >= FALLBACK_MIN_HISTORY).then(|| {
-            let hist: Vec<f64> = self.fallback_history.iter().copied().collect();
-            threshold_at_percentile(&hist, 99.0)
-        });
+        let prepared_tau = (self.fallback_history.len() >= FALLBACK_MIN_HISTORY)
+            .then(|| self.fallback_history.quantile(99.0));
         // Skip inference outright when the window is mostly holes — an
         // imputation model conditioned on almost nothing hallucinates —
         // or when the serving layer sheds this evaluation under load.
@@ -1194,18 +1190,15 @@ impl<D: WindowScorer> StreamingMonitor<D> {
             ThresholdMode::Native => out.labels.clone(),
             ThresholdMode::PotDynamic { risk } => {
                 for &e in out.final_step_error() {
-                    if self.error_history.len() == HISTORY_CAP {
-                        self.error_history.pop_front();
-                    }
-                    self.error_history.push_back(e);
+                    self.error_history.push(e);
                 }
-                let history: Vec<f64> = self.error_history.iter().copied().collect();
+                let history = &self.error_history;
                 let tau = if history.len() >= 100 {
-                    pot_threshold(&history, 95.0, risk)
+                    pot_fit(history.iter(), history.quantile(95.0), risk)
                         .map(|p| p.threshold)
-                        .unwrap_or_else(|| threshold_at_percentile(&history, 99.0))
+                        .unwrap_or_else(|| history.quantile(99.0))
                 } else {
-                    threshold_at_percentile(&history, 98.0)
+                    history.quantile(98.0)
                 };
                 out.revote(tau, out.vote_threshold)
             }
@@ -1878,5 +1871,106 @@ mod tests {
         assert!(health.degraded_evals >= 1);
         assert!(health.recoveries >= 1, "health: {health:?}");
         assert_eq!(health.state, HealthState::Healthy);
+    }
+
+    /// A CRC-valid sidecar whose histories hold NaN and ±∞ restores
+    /// without a panic, and the thresholds read after restore are the
+    /// percentiles of the restored rings with the non-finite entries
+    /// ignored — as a full sort of the ring would give.
+    #[test]
+    fn non_finite_histories_restore_and_calibrate_from_the_ring() {
+        use crate::persist::stream_path;
+        use imdiff_metrics::{pot_threshold, threshold_at_percentile};
+        use imdiff_nn::codec::{seal, IMSM};
+
+        let (monitor, ds) = fitted_monitor(4);
+        let (window, k) = (monitor.window(), monitor.channels());
+        let path = std::env::temp_dir().join(format!(
+            "imdiffusion-{}-non-finite.ckpt",
+            std::process::id()
+        ));
+        monitor.checkpoint(&path).unwrap();
+
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        // Every fifth or seventh entry non-finite or a signed zero.
+        let errors: Vec<f64> = (0..300)
+            .map(|i| match i % 7 {
+                0 => odd[i / 7 % 5],
+                _ => (i % 37) as f64 * 0.25,
+            })
+            .collect();
+        let fallback: Vec<f64> = (0..200)
+            .map(|i| match i % 5 {
+                0 => odd[i / 5 % 5],
+                _ => ((i * 13) % 41) as f64 * 0.5,
+            })
+            .collect();
+        let image = seal(&IMSM, |e| {
+            e.u32(window as u32);
+            e.u32(4); // hop
+            e.u32(k as u32);
+            e.u8(1); // PotDynamic
+            e.f64(1e-3);
+            e.u64(1000); // seen
+            e.u32(3); // since_eval: the next row triggers an evaluation
+            e.u8(0); // Healthy
+            e.u32(0); // pending_gap
+            e.u32((window / 4) as u32); // max_bridge
+            for _ in 0..7 {
+                e.u64(0);
+            }
+            e.u8(0); // no fallback τ calibrated yet
+            e.f64(0.0);
+            e.str32("");
+            e.u32(window as u32);
+            for l in 0..window {
+                for &v in ds.test.row(l) {
+                    e.f32(v);
+                }
+                e.raw(&vec![0; k]);
+            }
+            e.f64s(&errors);
+            e.f64s(&fallback);
+            for _ in 0..k {
+                e.u64(100);
+                e.f64(0.0);
+                e.f64(99.0);
+            }
+            e.u8(0); // no drift block
+        });
+        std::fs::write(stream_path(&path), image).unwrap();
+        let mut restored = StreamingMonitor::restore(tiny_cfg(), 4, &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(stream_path(&path)).ok();
+
+        // The POT inputs `complete_eval` reads from the error history.
+        let history = &restored.error_history;
+        for q in [95.0, 98.0, 99.0] {
+            assert_eq!(
+                history.quantile(q).to_bits(),
+                threshold_at_percentile(&errors, q).to_bits()
+            );
+        }
+        let fit = pot_fit(history.iter(), history.quantile(95.0), 1e-3).map(|p| p.threshold);
+        let full = pot_threshold(&errors, 95.0, 1e-3).map(|p| p.threshold);
+        assert!(full.is_some(), "the tail must be fitted, not the fallback");
+        assert_eq!(fit.map(f64::to_bits), full.map(f64::to_bits));
+
+        // The next evaluation's fallback τ is the p99 of the restored ring
+        // plus the row that triggered it.
+        let mut due = Vec::new();
+        restored
+            .absorb(ds.test.row(window), 0, false, &mut due)
+            .unwrap();
+        assert_eq!(due.len(), 1);
+        let ring: Vec<f64> = restored.fallback_history.iter().collect();
+        assert_eq!(ring.len(), fallback.len() + 1);
+        assert_eq!(
+            due[0].prepared_tau.map(f64::to_bits),
+            Some(threshold_at_percentile(&ring, 99.0).to_bits())
+        );
+        let req = due.remove(0);
+        let out = restored.run_eval_inference(&req);
+        assert_eq!(restored.complete_eval(req, out).len(), 4);
     }
 }

@@ -24,7 +24,7 @@ pub mod threshold;
 pub use add::average_detection_delay;
 pub use agg::{mean_std, RunAggregate};
 pub use point::{confusion, point_adjust, PrF1};
-pub use pot::{pot_threshold, PotThreshold};
+pub use pot::{pot_fit, pot_threshold, PotThreshold};
 pub use range_auc::range_auc_pr;
 pub use roc::roc_auc;
-pub use threshold::{best_f1_threshold, threshold_at_percentile};
+pub use threshold::{best_f1_threshold, percentile_of_sorted, threshold_at_percentile};

@@ -38,27 +38,35 @@ pub fn pot_threshold(scores: &[f64], init_quantile: f64, risk: f64) -> Option<Po
         (0.0..=100.0).contains(&init_quantile),
         "quantile out of range"
     );
-    assert!(risk > 0.0 && risk < 1.0, "risk must be in (0, 1)");
     let t0 = crate::threshold::threshold_at_percentile(scores, init_quantile);
-    let exceed: Vec<f64> = scores
-        .iter()
-        .filter(|&&s| s.is_finite() && s > t0)
-        .map(|&s| s - t0)
-        .collect();
-    let n_t = exceed.len();
+    pot_fit(scores.iter().copied(), t0, risk)
+}
+
+/// Fits the GPD tail of `scores` over a given initial threshold `t0` —
+/// [`pot_threshold`] without the quantile step, for callers that read
+/// `t0` from a sorted copy they keep. Non-finite scores are ignored; the
+/// exceedance moments are summed in `scores` order.
+pub fn pot_fit<I>(scores: I, t0: f64, risk: f64) -> Option<PotThreshold>
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: Clone,
+{
+    assert!(risk > 0.0 && risk < 1.0, "risk must be in (0, 1)");
+    let scores = scores.into_iter();
+    let exceed = scores
+        .clone()
+        .filter(|s| s.is_finite() && *s > t0)
+        .map(|s| s - t0);
+    let n_t = exceed.clone().count();
     if n_t < 4 {
         return None;
     }
     // Finite sample count: `t0` and the exceedances are computed over
     // finite scores only, so NaN-polluted series must not inflate `n`
     // and bias `tail_prob` below.
-    let n = scores.iter().filter(|s| s.is_finite()).count() as f64;
-    let mean = exceed.iter().sum::<f64>() / n_t as f64;
-    let var = exceed
-        .iter()
-        .map(|&e| (e - mean) * (e - mean))
-        .sum::<f64>()
-        / n_t as f64;
+    let n = scores.filter(|s| s.is_finite()).count() as f64;
+    let mean = exceed.clone().sum::<f64>() / n_t as f64;
+    let var = exceed.map(|e| (e - mean) * (e - mean)).sum::<f64>() / n_t as f64;
     if var <= 0.0 || mean <= 0.0 {
         return None;
     }

@@ -4,22 +4,31 @@ use crate::point::{pa_prf1, PrF1};
 
 /// The score value at percentile `q` (0–100) of `scores`.
 ///
-/// Convention: the sorted finite scores are indexed at
-/// `round(q/100 · (n − 1))` — the nearest *position* on the 0–100 scale
-/// stretched over the sample (NumPy's `interpolation="nearest"`), **not**
-/// classic nearest-rank `⌈q/100 · n⌉`. So `q = 0` is the minimum,
-/// `q = 100` the maximum, and with two samples the upper one is selected
-/// from `q = 50` upward (half rounds away from zero). Non-finite scores
-/// are ignored; an all-non-finite (or empty) input returns 0.0.
+/// Non-finite scores are ignored; an all-non-finite (or empty) input
+/// returns 0.0. The rank rule is [`percentile_of_sorted`]'s, applied to
+/// the finite scores after a stable ascending sort.
 pub fn threshold_at_percentile(scores: &[f64], q: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
     let mut finite: Vec<f64> = scores.iter().copied().filter(|s| s.is_finite()).collect();
-    if finite.is_empty() {
-        return 0.0;
-    }
     finite.sort_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-    let rank = ((q / 100.0) * (finite.len() - 1) as f64).round() as usize;
-    finite[rank.min(finite.len() - 1)]
+    percentile_of_sorted(&finite, q)
+}
+
+/// The value at percentile `q` (0–100) of an ascending, finite `sorted`
+/// slice; 0.0 when it is empty.
+///
+/// Convention: index `round(q/100 · (n − 1))` — the nearest *position* on
+/// the 0–100 scale stretched over the sample (NumPy's
+/// `interpolation="nearest"`), **not** classic nearest-rank
+/// `⌈q/100 · n⌉`. So `q = 0` is the minimum, `q = 100` the maximum, and
+/// with two samples the upper one is selected from `q = 50` upward (half
+/// rounds away from zero).
+pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&q), "percentile out of range: {q}");
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let rank = ((q / 100.0) * last as f64).round() as usize;
+    sorted[rank.min(last)]
 }
 
 /// Grid-searches the threshold maximising point-adjusted F1.

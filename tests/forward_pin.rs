@@ -13,10 +13,15 @@
 //! weights, IMSM stream sidecar, IMDE registry envelope, IMTS trainer
 //! state): a change to how a format is written must leave those digests
 //! unchanged.
+//!
+//! Last, it pins every verdict of a streaming monitor fed past its rolling
+//! history capacity, in both threshold modes and across a sidecar
+//! restore: a change to how the monitor keeps its thresholds must leave
+//! those digests unchanged.
 
 use imdiffusion_repro::core::{
-    ensemble_infer_for_tests, stream_path, ImDiffusionConfig, ImTransformer, StreamingMonitor,
-    Trainer, TrainerOptions,
+    ensemble_infer_for_tests, stream_path, BatchItem, HealthState, ImDiffusionConfig,
+    ImTransformer, StreamingMonitor, ThresholdMode, Trainer, TrainerOptions,
 };
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::{Detector, Mts};
@@ -324,4 +329,126 @@ fn trained_images_are_pinned() {
         assert_eq!(imde, want_imde, "IMDE ImDiffusion, tier={tier:?}");
         assert_eq!(imts, want_imts, "IMTS, tier={tier:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Streaming monitor verdicts
+// ---------------------------------------------------------------------------
+//
+// A z-score monitor fed well past its rolling-history capacity, so both
+// histories evict, with NaN cells, short bridged gaps, one long gap that
+// re-warms, and shed items whose verdicts come from the fallback
+// threshold. Every verdict is folded into one digest per threshold mode.
+
+/// The monitor's rolling-history capacity (`HISTORY_CAP` in the core
+/// crate's streaming module).
+const HISTORY_CAP: usize = 4096;
+
+/// Verdict digests: `(Native, PotDynamic { risk: 1e-3 })`.
+const MONITOR_PINS: (u64, u64) = (0x3858_9f90_4099_369e, 0x9014_4d1b_80c8_4313);
+
+/// Feeds the scripted stream through `push_batch`, checkpointing and
+/// restoring once after the histories have filled; returns the digest of
+/// every verdict, in order.
+fn monitor_verdict_digest(mode: ThresholdMode) -> u64 {
+    let (train, _) = gcp();
+    let stream = generate(
+        Benchmark::Gcp,
+        &SizeProfile {
+            train_len: 64,
+            test_len: HISTORY_CAP + 1400,
+        },
+        MODEL_SEED,
+    )
+    .test;
+    let k = stream.dim();
+    let mut monitor = StreamingMonitor::new(fitted(DetectorKind::ZScore, &train), k, 4)
+        .unwrap()
+        .with_threshold_mode(mode);
+    let path = scratch(&format!(
+        "verdicts-{}.ckpt",
+        u8::from(mode != ThresholdMode::Native)
+    ));
+    let restore_after = HISTORY_CAP + 300;
+    let mut restored = false;
+
+    let mut h = Fnv::new();
+    let (mut degraded, mut degraded_alarms, mut verdicts) = (0usize, 0usize, 0usize);
+    let (mut next_row, mut next_item) = (0usize, 0usize);
+    while next_row < stream.len() {
+        // Three requests per batch, 1-7 rows each.
+        let mut items = Vec::new();
+        for _ in 0..3 {
+            let gap_before = match next_item {
+                400 => 40,
+                i if i % 97 == 50 => 2,
+                _ => 0,
+            };
+            next_row += gap_before;
+            let end = (next_row + 1 + next_item % 7).min(stream.len());
+            let rows = (next_row.min(end)..end)
+                .map(|l| {
+                    let mut row = stream.row(l).to_vec();
+                    if l % 11 == 0 {
+                        row[l % k] = f32::NAN;
+                    }
+                    // Spikes of graded heights that grow along the stream:
+                    // the fallback p99 sits among them and moves as old
+                    // scores are evicted.
+                    if l % 13 == 5 {
+                        let grade = ((l * 7919) % 101) as f32 / 20.0;
+                        row[(l / 13) % k] += (0.5 + grade) * (1.0 + l as f32 / 1500.0);
+                    }
+                    row
+                })
+                .collect();
+            items.push(BatchItem {
+                gap_before,
+                rows,
+                shed: next_item % 3 == 1,
+            });
+            next_row = end.max(next_row);
+            next_item += 1;
+        }
+        for reply in monitor.push_batch(&items) {
+            assert!(reply.error.is_none(), "{:?}", reply.error);
+            for v in reply.verdicts {
+                h.eat(v.index);
+                h.eat(v.score.to_bits());
+                h.eat(v.votes as u64);
+                h.eat(u64::from(v.anomalous) | u64::from(v.degraded) << 1);
+                verdicts += 1;
+                if v.degraded {
+                    degraded += 1;
+                    degraded_alarms += usize::from(v.anomalous);
+                }
+            }
+        }
+        if !restored && next_row >= restore_after {
+            monitor.checkpoint_stream(&path).unwrap();
+            monitor = StreamingMonitor::restore_with(fitted(DetectorKind::ZScore, &train), &path)
+                .unwrap();
+            std::fs::remove_file(stream_path(&path)).ok();
+            restored = true;
+        }
+    }
+    let health = monitor.health();
+    assert!(restored);
+    assert_eq!(health.rewarms, 1, "one long gap re-warms");
+    assert!(health.gaps_bridged > 0, "short gaps are bridged");
+    assert!(verdicts > HISTORY_CAP + 1000, "{verdicts} verdicts");
+    assert!(
+        degraded > 0 && degraded_alarms > 0,
+        "the fallback threshold decides some verdicts ({degraded_alarms}/{degraded})"
+    );
+    assert_ne!(health.state, HealthState::Warming);
+    h.0
+}
+
+#[test]
+fn monitor_verdicts_are_pinned() {
+    let native = monitor_verdict_digest(ThresholdMode::Native);
+    let pot = monitor_verdict_digest(ThresholdMode::PotDynamic { risk: 1e-3 });
+    println!("monitor verdicts native={native:#018x} pot={pot:#018x}");
+    assert_eq!((native, pot), MONITOR_PINS, "(Native, PotDynamic)");
 }
