@@ -4,16 +4,19 @@
 //! adversarial regularization so reconstructions stay on the data manifold.
 //! The anomaly score is the per-timestamp reconstruction error.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::{backward, no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, coverage_starts, put_tensors, require_len, rng_for, sample_starts, take_tensors,
-    NormState, PointScores,
+    batch_windows, put_tensors, reconstruction_scores, require_len, row_mse, sample_starts,
+    take_tensors, Baseline, Family,
 };
 
 const WINDOW: usize = 24;
@@ -24,7 +27,11 @@ const BATCH: usize = 16;
 /// Weight of the adversarial feature-matching term in the generator loss.
 const ADV_WEIGHT: f32 = 0.05;
 
-struct AutoEncoder {
+/// BeatGAN: adversarially regularized window autoencoder.
+pub type BeatGan = Baseline<AutoEncoder>;
+
+/// BeatGAN's fitted generator: a window autoencoder.
+pub struct AutoEncoder {
     enc1: Linear,
     enc2: Linear,
     dec1: Linear,
@@ -37,7 +44,7 @@ impl AutoEncoder {
         self.dec2.forward(&self.dec1.forward(&z).relu())
     }
 
-    fn new(rng: &mut rand::rngs::StdRng, flat_dim: usize) -> Self {
+    fn new(rng: &mut StdRng, flat_dim: usize) -> Self {
         AutoEncoder {
             enc1: Linear::new(rng, flat_dim, HIDDEN),
             enc2: Linear::new(rng, HIDDEN, LATENT),
@@ -55,95 +62,20 @@ impl AutoEncoder {
     }
 }
 
-/// BeatGAN: adversarially regularized window autoencoder.
-pub struct BeatGan {
-    seed: u64,
-    state: Option<Fitted>,
-}
+impl Family for AutoEncoder {
+    const NAME: &'static str = "BeatGAN";
+    const TAG: u64 = 0xbea7;
+    const MIN_ROWS: usize = WINDOW;
 
-struct Fitted {
-    norm: NormState,
-    ae: AutoEncoder,
-}
-
-impl BeatGan {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        BeatGan { seed, state: None }
-    }
-
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW).reshape(&[chunk.len(), WINDOW * k]);
-            let recon = no_grad(|| st.ae.forward(&x));
-            let (xd, rd) = (x.data(), recon.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        err += ((xd[idx] - rd[idx]) as f64).powi(2);
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.ae.params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    /// The module skeleton is reconstructed from seed + channel count and
-    /// the stored weights overwrite the fresh initialization.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0xbea7);
-        let ae = AutoEncoder::new(&mut rng, WINDOW * norm.channels);
-        take_tensors(&mut r, &ae.params())?;
-        r.finish()?;
-        Ok(BeatGan {
-            seed,
-            state: Some(Fitted { norm, ae }),
-        })
-    }
-}
-
-impl Detector for BeatGan {
-    fn name(&self) -> &'static str {
-        "BeatGAN"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 1)?;
-        let k = train_n.dim();
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 1)?;
+        let k = train.dim();
         let flat_dim = WINDOW * k;
-        let mut rng = rng_for(self.seed, 0xbea7);
 
-        let ae = AutoEncoder::new(&mut rng, flat_dim);
+        let ae = AutoEncoder::new(rng, flat_dim);
         // Discriminator: window -> real/fake logit.
-        let d1 = Linear::new(&mut rng, flat_dim, HIDDEN / 2);
-        let d2 = Linear::new(&mut rng, HIDDEN / 2, 1);
+        let d1 = Linear::new(rng, flat_dim, HIDDEN / 2);
+        let d2 = Linear::new(rng, HIDDEN / 2, 1);
 
         let g_params = ae.params();
         let mut d_params = d1.params();
@@ -152,9 +84,8 @@ impl Detector for BeatGan {
         let mut d_opt = Adam::new(d_params, 1e-3);
 
         for _ in 0..TRAIN_STEPS {
-            let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW).reshape(&[BATCH, WINDOW * k]);
-
+            let starts = sample_starts(rng, train.len(), WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW).reshape(&[BATCH, WINDOW * k]);
             // Discriminator step: real vs reconstructed.
             let recon = no_grad(|| ae.forward(&x));
             let real_logit = d2.forward(&d1.forward(&x).leaky_relu(0.2));
@@ -183,12 +114,26 @@ impl Detector for BeatGan {
             d_opt.zero_grad();
         }
 
-        self.state = Some(Fitted { norm, ae });
-        Ok(())
+        Ok(ae)
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = test.dim();
+        reconstruction_scores(test, WINDOW, |x| {
+            let flat = x.reshape(&[x.dims()[0], WINDOW * k]);
+            let recon = no_grad(|| self.forward(&flat));
+            row_mse(&flat, &recon, k)
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let ae = AutoEncoder::new(rng, WINDOW * channels);
+        take_tensors(d, &ae.params())?;
+        Ok(ae)
     }
 }
 

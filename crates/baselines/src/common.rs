@@ -1,7 +1,12 @@
-//! Shared plumbing for the neural baselines: normalization state, window
-//! batching, a generic training loop, and window-to-point score merging.
+//! The lifecycle every baseline family shares, and the plumbing the neural
+//! families share: input scaling, the payload frame, window batching, a
+//! generic training loop and the two scoring scaffolds.
 
-use imdiff_data::{DetectorError, Mts, NormMethod, Normalizer};
+use std::borrow::Cow;
+
+use imdiff_data::{
+    coverage_starts, Detection, Detector, DetectorError, Mts, NormMethod, Normalizer,
+};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::optim::Optimizer;
 use imdiff_nn::rng::seeded;
@@ -9,58 +14,214 @@ use imdiff_nn::{backward, Tensor};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Normalization fitted at `fit` time and reused at `detect` time.
-pub(crate) struct NormState {
-    normalizer: Normalizer,
-    pub(crate) channels: usize,
+/// One baseline family as the shared lifecycle ([`Baseline`]) drives it:
+/// the fitted model, how it trains and scores, and its payload body.
+pub trait Family: Sized + 'static {
+    /// The family's name, as tables, health endpoints and logs spell it.
+    const NAME: &'static str;
+    /// Role tag of the family's RNG stream: `fit` and the payload
+    /// decoder both draw from `rng_for(seed, TAG)`.
+    const TAG: u64;
+    /// Fewest rows [`Family::score`] accepts.
+    const MIN_ROWS: usize;
+    /// Whether the lifecycle min-max normalises series (filling
+    /// declared-missing cells) before `fit` and `score`. A family that
+    /// keeps raw values reads the missing mask itself.
+    const MIN_MAX: bool = true;
+    /// Whether the family is one of the paper's Table 2 baselines.
+    const IN_PAPER: bool = true;
+
+    /// Trains on a validated (and, under [`Family::MIN_MAX`], normalised)
+    /// training series.
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError>;
+
+    /// One score per row of a validated series of at least
+    /// [`Family::MIN_ROWS`] rows. `missing` is the caller's declared-missing
+    /// mask; min-max families see its cells already filled.
+    fn score(&self, test: &Mts, missing: Option<&[bool]>) -> Vec<f64>;
+
+    /// Writes the family's payload body, which follows the input scaling
+    /// state in the snapshot payload.
+    fn put(&self, e: &mut Enc);
+
+    /// Reads what [`Family::put`] wrote; neural families rebuild their
+    /// module skeleton from `rng` before loading the stored weights.
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError>;
+}
+
+/// A baseline detector of family `F`: the seed, the fitted state and the
+/// snapshot payload frame (input scaling state, then the family's body).
+pub struct Baseline<F> {
+    seed: u64,
+    fitted: Option<(NormState, F)>,
+}
+
+impl<F: Family> Baseline<F> {
+    /// Creates the detector.
+    pub fn new(seed: u64) -> Self {
+        Baseline { seed, fitted: None }
+    }
+
+    fn fitted(&self) -> Result<&(NormState, F), DetectorError> {
+        self.fitted.as_ref().ok_or(DetectorError::NotFitted)
+    }
+
+    /// Read-only scoring with an optional declared-missing mask
+    /// (row-major `[L, K]`, `true` = value absent).
+    pub fn score_series(
+        &self,
+        test: &Mts,
+        missing: Option<&[bool]>,
+    ) -> Result<Vec<f64>, DetectorError> {
+        let (norm, model) = self.fitted()?;
+        let test = norm.input(test, missing)?;
+        require_len(&test, F::MIN_ROWS)?;
+        Ok(model.score(&test, missing))
+    }
+
+    /// Serializes the fitted state as the family's registry payload.
+    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
+        let (norm, model) = self.fitted()?;
+        let mut e = Enc::new();
+        norm.encode(&mut e);
+        model.put(&mut e);
+        Ok(e.into_vec())
+    }
+
+    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
+    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
+        let mut d = Dec::new(bytes);
+        let norm = NormState::decode(&mut d, F::MIN_MAX)?;
+        let model = F::take(&mut rng_for(seed, F::TAG), norm.channels, &mut d)?;
+        d.finish()?;
+        Ok(Baseline {
+            seed,
+            fitted: Some((norm, model)),
+        })
+    }
+}
+
+impl<F: Family> Detector for Baseline<F> {
+    fn name(&self) -> &'static str {
+        F::NAME
+    }
+
+    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
+        let rng = &mut rng_for(self.seed, F::TAG);
+        self.fitted = Some(if F::MIN_MAX {
+            let (norm, train_n) = NormState::fit(train)?;
+            let model = F::fit(rng, &train_n)?;
+            (norm, model)
+        } else {
+            (NormState::raw(train)?, F::fit(rng, train)?)
+        });
+        Ok(())
+    }
+
+    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
+        Ok(Detection::from_scores(self.score_series(test, None)?))
+    }
+}
+
+/// A baseline of any family behind one object-safe face: what the family
+/// table ([`crate::FAMILIES`]) constructs and restores.
+pub trait BaselineDetector: Detector {
+    /// See [`Baseline::score_series`].
+    fn score_series(&self, test: &Mts, missing: Option<&[bool]>)
+        -> Result<Vec<f64>, DetectorError>;
+    /// See [`Baseline::snapshot_payload`].
+    fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError>;
+}
+
+impl<F: Family> BaselineDetector for Baseline<F> {
+    fn score_series(
+        &self,
+        test: &Mts,
+        missing: Option<&[bool]>,
+    ) -> Result<Vec<f64>, DetectorError> {
+        Baseline::score_series(self, test, missing)
+    }
+
+    fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
+        Baseline::snapshot_payload(self)
+    }
+}
+
+/// Input scaling fitted at `fit` time and reused at `detect` time:
+/// min-max normalisation, or none for a family that keeps raw values.
+struct NormState {
+    normalizer: Option<Normalizer>,
+    channels: usize,
+}
+
+/// Rejects an empty or non-finite training series.
+fn check_train(train: &Mts) -> Result<(), DetectorError> {
+    if train.is_empty() || train.dim() == 0 {
+        return Err(DetectorError::InvalidTrainingData(
+            "empty training series".into(),
+        ));
+    }
+    // Finiteness boundary: a NaN/∞ would silently poison the min/max
+    // statistics here and then every distance, split threshold and
+    // gradient downstream — several families (IForest's `gen_range`
+    // on NaN bounds, GDN's correlation sort) would outright panic.
+    for l in 0..train.len() {
+        for c in 0..train.dim() {
+            if !train.get(l, c).is_finite() {
+                return Err(DetectorError::NonFiniteInput {
+                    index: l,
+                    channel: c,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 impl NormState {
-    pub(crate) fn fit(train: &Mts) -> Result<(Self, Mts), DetectorError> {
-        if train.is_empty() || train.dim() == 0 {
-            return Err(DetectorError::InvalidTrainingData(
-                "empty training series".into(),
-            ));
-        }
-        // Finiteness boundary: a NaN/∞ would silently poison the min/max
-        // statistics here and then every distance, split threshold and
-        // gradient downstream — several families (IForest's `gen_range`
-        // on NaN bounds, GDN's correlation sort) would outright panic.
-        for l in 0..train.len() {
-            for c in 0..train.dim() {
-                if !train.get(l, c).is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-            }
-        }
+    fn fit(train: &Mts) -> Result<(Self, Mts), DetectorError> {
+        check_train(train)?;
         let normalizer = Normalizer::fit(train, NormMethod::MinMax);
         let train_n = normalizer.transform(train);
         Ok((
             NormState {
-                normalizer,
+                normalizer: Some(normalizer),
                 channels: train.dim(),
             },
             train_n,
         ))
     }
 
-    /// Mask-aware ingestion boundary shared by every baseline's scoring
-    /// path: validates geometry, rejects non-finite values outside
-    /// declared-missing cells with a typed error (the mask is row-major
-    /// `[L, K]`, `true` = value absent — the convention of
-    /// `imdiff_data::mask` and the streaming monitor), fills declared
-    /// cells deterministically (carry-forward → backfill → channel
-    /// mid-range), and normalizes. The baselines have no native notion of
-    /// imputation, so a placeholder value keeps their arithmetic finite
-    /// while staying inside the training data's value envelope.
-    pub(crate) fn transform_masked(
+    /// The state of a family that keeps raw values: the training series is
+    /// validated like [`Self::fit`] validates it, and only its channel
+    /// count is kept.
+    fn raw(train: &Mts) -> Result<Self, DetectorError> {
+        check_train(train)?;
+        Ok(NormState {
+            normalizer: None,
+            channels: train.dim(),
+        })
+    }
+
+    /// The series a family scores: [`Self::transform_masked`] under
+    /// min-max, otherwise the input as is, validated the same way.
+    fn input<'a>(
         &self,
-        test: &Mts,
+        test: &'a Mts,
         missing: Option<&[bool]>,
-    ) -> Result<Mts, DetectorError> {
+    ) -> Result<Cow<'a, Mts>, DetectorError> {
+        if self.normalizer.is_some() {
+            return self.transform_masked(test, missing).map(Cow::Owned);
+        }
+        self.check(test, missing)?;
+        Ok(Cow::Borrowed(test))
+    }
+
+    /// Validates geometry and rejects non-finite values outside declared-
+    /// missing cells with a typed error (the mask is row-major `[L, K]`,
+    /// `true` = value absent — the convention of `imdiff_data::mask` and
+    /// the streaming monitor).
+    fn check(&self, test: &Mts, missing: Option<&[bool]>) -> Result<(), DetectorError> {
         if test.dim() != self.channels {
             return Err(DetectorError::DimensionMismatch {
                 expected: self.channels,
@@ -88,11 +249,28 @@ impl NormState {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Mask-aware ingestion boundary of every min-max family's scoring
+    /// path: [`Self::check`]s the input, fills declared cells
+    /// deterministically (carry-forward → backfill → channel mid-range),
+    /// and normalizes. The baselines have no native notion of imputation,
+    /// so a placeholder value keeps their arithmetic finite while staying
+    /// inside the training data's value envelope.
+    fn transform_masked(
+        &self,
+        test: &Mts,
+        missing: Option<&[bool]>,
+    ) -> Result<Mts, DetectorError> {
+        self.check(test, missing)?;
+        let normalizer = self.normalizer.as_ref().expect("min-max state");
         if missing.is_none_or(|m| m.iter().all(|&b| !b)) {
-            return Ok(self.normalizer.transform(test));
+            return Ok(normalizer.transform(test));
         }
         let missing = missing.expect("checked above");
-        let (offset, scale) = self.normalizer.stats();
+        let (len, k) = (test.len(), test.dim());
+        let (offset, scale) = normalizer.stats();
         let mut filled = test.clone();
         for c in 0..k {
             // Carry-forward within the channel; leading holes backfill
@@ -111,27 +289,38 @@ impl NormState {
                 }
             }
         }
-        Ok(self.normalizer.transform(&filled))
+        Ok(normalizer.transform(&filled))
     }
 
-    /// Serializes the normalization state (registry snapshot payloads).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        let (offset, scale) = self.normalizer.stats();
+    /// Serializes the scaling state: the channel count, then the min-max
+    /// statistics when there are any.
+    fn encode(&self, e: &mut Enc) {
         e.u32(self.channels as u32);
-        e.f32s(&offset);
-        e.f32s(&scale);
+        if let Some(normalizer) = &self.normalizer {
+            let (offset, scale) = normalizer.stats();
+            e.f32s(&offset);
+            e.f32s(&scale);
+        }
     }
 
     /// Inverse of [`Self::encode`].
-    pub(crate) fn decode(d: &mut Dec) -> Result<Self, DetectorError> {
+    fn decode(d: &mut Dec, min_max: bool) -> Result<Self, DetectorError> {
         let channels = d.u32()? as usize;
-        let offset = d.f32s()?;
-        let scale = d.f32s()?;
-        if channels == 0 || offset.len() != channels || scale.len() != channels {
+        let normalizer = if min_max {
+            let offset = d.f32s()?;
+            let scale = d.f32s()?;
+            if offset.len() != channels || scale.len() != channels {
+                return Err(corrupt("normalizer state shape mismatch"));
+            }
+            Some(Normalizer::from_stats(NormMethod::MinMax, offset, scale))
+        } else {
+            None
+        };
+        if channels == 0 {
             return Err(corrupt("normalizer state shape mismatch"));
         }
         Ok(NormState {
-            normalizer: Normalizer::from_stats(NormMethod::MinMax, offset, scale),
+            normalizer,
             channels,
         })
     }
@@ -177,7 +366,7 @@ pub(crate) fn take_tensors(d: &mut Dec, params: &[Tensor]) -> Result<(), Detecto
     Ok(())
 }
 
-/// Validates the series is long enough for windowed training.
+/// Validates the series is long enough for windowed training or scoring.
 pub(crate) fn require_len(series: &Mts, min: usize) -> Result<(), DetectorError> {
     if series.len() < min {
         return Err(DetectorError::InvalidTrainingData(format!(
@@ -226,29 +415,91 @@ pub(crate) fn run_training<O: Optimizer>(
     losses
 }
 
+/// Reconstruction scaffold: covers the series with `window`-row windows
+/// at stride `window / 2` (end-aligned tail), batches 32 of them at a time
+/// as `[B, window, K]`, and averages each row's errors over the windows
+/// that cover it. `errors(x)` returns one error per (window, row) of the
+/// batch, window-major.
+pub(crate) fn reconstruction_scores(
+    test: &Mts,
+    window: usize,
+    mut errors: impl FnMut(&Tensor) -> Vec<f64>,
+) -> Vec<f64> {
+    let starts = coverage_starts(test.len(), window, window / 2);
+    let mut ps = PointScores::new(test.len());
+    for chunk in starts.chunks(32) {
+        let errs = errors(&batch_windows(test, chunk, window));
+        for (bi, &s) in chunk.iter().enumerate() {
+            for l in 0..window {
+                ps.add(s + l, errs[bi * window + l]);
+            }
+        }
+    }
+    ps.finish()
+}
+
+/// Per (window, row) mean over channels of the squared difference between
+/// a batch and its reconstruction (same element order, `k` channels).
+pub(crate) fn row_mse(x: &Tensor, recon: &Tensor, k: usize) -> Vec<f64> {
+    let (xd, rd) = (x.data(), recon.data());
+    xd.chunks(k)
+        .zip(rd.chunks(k))
+        .map(|(xr, rr)| {
+            let mut err = 0.0f64;
+            for c in 0..k {
+                err += ((xr[c] - rr[c]) as f64).powi(2);
+            }
+            err / k as f64
+        })
+        .collect()
+}
+
+/// Forecast scaffold: scores every row from `context` on from the
+/// `context` rows before it. `errors(starts)` receives up to `batch`
+/// context-window starts and returns the score of row `start + context`
+/// for each. The warm-up rows before `context` take the first computed
+/// score.
+pub(crate) fn forecast_scores(
+    len: usize,
+    context: usize,
+    batch: usize,
+    mut errors: impl FnMut(&[usize]) -> Vec<f64>,
+) -> Vec<f64> {
+    let mut scores = vec![0.0f64; len];
+    let starts: Vec<usize> = (0..len - context).collect();
+    for chunk in starts.chunks(batch) {
+        for (&s, err) in chunk.iter().zip(errors(chunk)) {
+            scores[s + context] = err;
+        }
+    }
+    let first = scores[context];
+    scores[..context].fill(first);
+    scores
+}
+
 /// Accumulates per-window, per-position errors back onto the timeline,
 /// averaging where windows overlap. `cell_err[b][l]` is the error window
 /// `b` assigns to its local position `l`.
-pub(crate) struct PointScores {
+struct PointScores {
     sum: Vec<f64>,
     count: Vec<f64>,
 }
 
 impl PointScores {
-    pub(crate) fn new(len: usize) -> Self {
+    fn new(len: usize) -> Self {
         PointScores {
             sum: vec![0.0; len],
             count: vec![0.0; len],
         }
     }
 
-    pub(crate) fn add(&mut self, global_pos: usize, err: f64) {
+    fn add(&mut self, global_pos: usize, err: f64) {
         self.sum[global_pos] += err;
         self.count[global_pos] += 1.0;
     }
 
     /// Final per-point scores; uncovered points receive the mean score.
-    pub(crate) fn finish(self) -> Vec<f64> {
+    fn finish(self) -> Vec<f64> {
         let covered: f64 = self.count.iter().filter(|&&c| c > 0.0).count() as f64;
         let mean = if covered > 0.0 {
             self.sum
@@ -272,22 +523,6 @@ impl PointScores {
 /// Deterministic RNG derived from a detector seed and a role tag.
 pub(crate) fn rng_for(seed: u64, tag: u64) -> StdRng {
     seeded(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ tag)
-}
-
-/// Non-overlapping coverage starts with an end-aligned tail window.
-pub(crate) fn coverage_starts(len: usize, w: usize, stride: usize) -> Vec<usize> {
-    let mut starts = Vec::new();
-    let mut s = 0;
-    while s + w <= len {
-        starts.push(s);
-        s += stride;
-    }
-    if let Some(&last) = starts.last() {
-        if last + w < len {
-            starts.push(len - w);
-        }
-    }
-    starts
 }
 
 #[cfg(test)]
@@ -316,12 +551,6 @@ mod tests {
         let d = t.to_vec();
         assert_eq!(&d[..4], &[0.0, 1.0, 2.0, 3.0]); // window at 0
         assert_eq!(&d[4..], &[6.0, 7.0, 8.0, 9.0]); // window at 3
-    }
-
-    #[test]
-    fn coverage_tail_alignment() {
-        assert_eq!(coverage_starts(10, 4, 4), vec![0, 4, 6]);
-        assert_eq!(coverage_starts(8, 4, 4), vec![0, 4]);
     }
 
     #[test]

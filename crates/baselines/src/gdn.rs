@@ -6,16 +6,19 @@
 //! value; the anomaly score is the maximum (robustly normalized) per-sensor
 //! forecast deviation — the scoring rule of the original paper.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Module};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{init, no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, corrupt, put_tensors, require_len, rng_for, run_training, sample_starts,
-    take_tensors, NormState,
+    batch_windows, corrupt, forecast_scores, put_tensors, require_len, run_training, sample_starts,
+    take_tensors, Baseline, Family,
 };
 
 const WINDOW: usize = 12;
@@ -38,7 +41,7 @@ struct Model {
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize, neighbours: Vec<Vec<usize>>) -> Self {
+    fn new(rng: &mut StdRng, k: usize, neighbours: Vec<Vec<usize>>) -> Self {
         Model {
             embed: init::normal_init(rng, &[k, EMBED], 0.1),
             history_proj: Linear::new(rng, WINDOW, EMBED),
@@ -122,110 +125,13 @@ impl Model {
 }
 
 /// Graph Deviation Network forecaster.
-pub struct Gdn {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type Gdn = Baseline<GraphDeviation>;
 
-struct Fitted {
-    norm: NormState,
+/// GDN's fitted state: the forecaster and its per-sensor error scales.
+pub struct GraphDeviation {
     model: Model,
     /// Per-sensor robust scale (median abs deviation) of training errors.
     err_scale: Vec<f64>,
-}
-
-impl Gdn {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        Gdn { seed, state: None }
-    }
-
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW + 1)?;
-        let k = test_n.dim();
-        let mut scores = vec![0.0f64; test_n.len()];
-        let positions: Vec<usize> = (0..test_n.len() - WINDOW).collect();
-        for chunk in positions.chunks(64) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let pred = no_grad(|| st.model.forward(&x));
-            let pd = pred.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = test_n.row(s + WINDOW);
-                // GDN scoring: max over sensors of normalized deviation.
-                let dev = (0..k)
-                    .map(|c| ((truth[c] - pd[bi * k + c]) as f64).abs() / st.err_scale[c])
-                    .fold(0.0f64, f64::max);
-                scores[s + WINDOW] = dev;
-            }
-        }
-        let first = scores[WINDOW];
-        for s in scores.iter_mut().take(WINDOW) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    /// The neighbour graph and robust error scales are data-derived, so
-    /// both must travel with the weights.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.model.params());
-        w.u32(st.model.neighbours.len() as u32);
-        for ns in &st.model.neighbours {
-            for &n in ns {
-                w.u32(n as u32);
-            }
-        }
-        w.f64s(&st.err_scale);
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let k = norm.channels;
-        let mut rng = rng_for(seed, 0x6d4);
-        let model = Model::new(&mut rng, k, vec![vec![0; TOP_K]; k]);
-        take_tensors(&mut r, &model.params())?;
-        let mut model = model;
-        let n_sensors = r.u32()? as usize;
-        if n_sensors != k {
-            return Err(corrupt("neighbour graph sensor count mismatch"));
-        }
-        for ns in model.neighbours.iter_mut() {
-            for slot in ns.iter_mut() {
-                let n = r.u32()? as usize;
-                if n >= k {
-                    return Err(corrupt("neighbour index out of range"));
-                }
-                *slot = n;
-            }
-        }
-        let err_scale = r.f64s()?;
-        if err_scale.len() != k || err_scale.iter().any(|&e| !e.is_finite() || e <= 0.0) {
-            return Err(corrupt("invalid error scales"));
-        }
-        r.finish()?;
-        Ok(Gdn {
-            seed,
-            state: Some(Fitted {
-                norm,
-                model,
-                err_scale,
-            }),
-        })
-    }
 }
 
 fn build_neighbours(train: &Mts, k: usize) -> Vec<Vec<usize>> {
@@ -273,24 +179,22 @@ fn build_neighbours(train: &Mts, k: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-impl Detector for Gdn {
-    fn name(&self) -> &'static str {
-        "GDN"
-    }
+impl Family for GraphDeviation {
+    const NAME: &'static str = "GDN";
+    const TAG: u64 = 0x6d4;
+    const MIN_ROWS: usize = WINDOW + 1;
 
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 2)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x6d4);
-        let model = Model::new(&mut rng, k, build_neighbours(&train_n, k));
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 2)?;
+        let k = train.dim();
+        let model = Model::new(rng, k, build_neighbours(train, k));
         let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
-            let starts = sample_starts(&mut rng, train_n.len() - 1, WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW);
+            let starts = sample_starts(rng, train.len() - 1, WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW);
             let target_rows: Vec<f32> = starts
                 .iter()
-                .flat_map(|&s| train_n.row(s + WINDOW).to_vec())
+                .flat_map(|&s| train.row(s + WINDOW).to_vec())
                 .collect();
             let target = Tensor::from_vec(target_rows, &[BATCH, k]).expect("target");
             mse(&model.forward(&x), &target)
@@ -298,13 +202,13 @@ impl Detector for Gdn {
 
         // Per-sensor robust error scale on the training split.
         let mut per_sensor: Vec<Vec<f64>> = vec![Vec::new(); k];
-        let positions: Vec<usize> = (0..train_n.len() - WINDOW).step_by(4).collect();
+        let positions: Vec<usize> = (0..train.len() - WINDOW).step_by(4).collect();
         for chunk in positions.chunks(64) {
-            let x = batch_windows(&train_n, chunk, WINDOW);
+            let x = batch_windows(train, chunk, WINDOW);
             let pred = no_grad(|| model.forward(&x));
             let pd = pred.data();
             for (bi, &s) in chunk.iter().enumerate() {
-                let truth = train_n.row(s + WINDOW);
+                let truth = train.row(s + WINDOW);
                 for c in 0..k {
                     per_sensor[c].push(((truth[c] - pd[bi * k + c]) as f64).abs());
                 }
@@ -319,16 +223,63 @@ impl Detector for Gdn {
                 (med + iqr).max(1e-4)
             })
             .collect();
-        self.state = Some(Fitted {
-            norm,
-            model,
-            err_scale,
-        });
-        Ok(())
+        Ok(GraphDeviation { model, err_scale })
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = test.dim();
+        forecast_scores(test.len(), WINDOW, 64, |chunk| {
+            let x = batch_windows(test, chunk, WINDOW);
+            let pred = no_grad(|| self.model.forward(&x));
+            let pd = pred.data();
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(bi, &s)| {
+                    let truth = test.row(s + WINDOW);
+                    // GDN scoring: max over sensors of normalized deviation.
+                    (0..k)
+                        .map(|c| ((truth[c] - pd[bi * k + c]) as f64).abs() / self.err_scale[c])
+                        .fold(0.0f64, f64::max)
+                })
+                .collect()
+        })
+    }
+
+    /// The neighbour graph and robust error scales are data-derived, so
+    /// both travel with the weights.
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.model.params());
+        e.u32(self.model.neighbours.len() as u32);
+        for ns in &self.model.neighbours {
+            for &n in ns {
+                e.u32(n as u32);
+            }
+        }
+        e.f64s(&self.err_scale);
+    }
+
+    fn take(rng: &mut StdRng, k: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let mut model = Model::new(rng, k, vec![vec![0; TOP_K]; k]);
+        take_tensors(d, &model.params())?;
+        let n_sensors = d.u32()? as usize;
+        if n_sensors != k {
+            return Err(corrupt("neighbour graph sensor count mismatch"));
+        }
+        for ns in model.neighbours.iter_mut() {
+            for slot in ns.iter_mut() {
+                let n = d.u32()? as usize;
+                if n >= k {
+                    return Err(corrupt("neighbour index out of range"));
+                }
+                *slot = n;
+            }
+        }
+        let err_scale = d.f64s()?;
+        if err_scale.len() != k || err_scale.iter().any(|&e| !e.is_finite() || e <= 0.0) {
+            return Err(corrupt("invalid error scales"));
+        }
+        Ok(GraphDeviation { model, err_scale })
     }
 }
 

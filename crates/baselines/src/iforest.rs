@@ -6,12 +6,16 @@
 //! `E[h]` is the mean path length over trees and `c(ψ)` the expected path
 //! length of an unsuccessful BST search.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{corrupt, rng_for, NormState};
+#[cfg(test)]
+use crate::common::rng_for;
+use crate::common::{corrupt, Baseline, Family};
 
 /// Decode recursion guard: real trees are ≤ log2(ψ)=8 deep, so anything
 /// past this is corrupt data, not a stack to unwind.
@@ -143,122 +147,87 @@ fn path_length(node: &Node, x: &[f32], depth: f64) -> f64 {
     }
 }
 
-/// The classic isolation-forest detector applied per timestamp.
-pub struct IsolationForest {
-    seed: u64,
-    n_trees: usize,
-    subsample: usize,
-    state: Option<Fitted>,
-}
+/// Isolation trees per forest.
+const N_TREES: usize = 100;
+/// Training rows each tree is grown on (ψ).
+const SUBSAMPLE: usize = 256;
 
-struct Fitted {
-    norm: NormState,
+/// The classic isolation-forest detector applied per timestamp.
+pub type IsolationForest = Baseline<Forest>;
+
+/// The fitted isolation forest.
+pub struct Forest {
+    subsample: usize,
     trees: Vec<Node>,
     c_psi: f64,
 }
 
-impl IsolationForest {
-    /// Standard configuration: 100 trees on ψ = 256 subsamples.
-    pub fn new(seed: u64) -> Self {
-        IsolationForest {
-            seed,
-            n_trees: 100,
-            subsample: 256,
-            state: None,
-        }
-    }
+impl Family for Forest {
+    const NAME: &'static str = "IForest";
+    const TAG: u64 = 0x1f;
+    const MIN_ROWS: usize = 1;
 
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        Ok((0..test_n.len())
-            .map(|l| {
-                let x = test_n.row(l);
-                let mean_path: f64 = st
-                    .trees
-                    .iter()
-                    .map(|t| path_length(t, x, 0.0))
-                    .sum::<f64>()
-                    / st.trees.len() as f64;
-                (2.0f64).powf(-mean_path / st.c_psi.max(1e-9))
-            })
-            .collect())
-    }
-
-    /// Serializes the fitted forest as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        w.u32(self.subsample as u32);
-        w.f64(st.c_psi);
-        w.u32(st.trees.len() as u32);
-        for t in &st.trees {
-            encode_node(t, &mut w);
-        }
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let subsample = r.u32()? as usize;
-        let c_psi = r.f64()?;
-        if !c_psi.is_finite() || c_psi < 0.0 {
-            return Err(corrupt("invalid c(ψ) factor"));
-        }
-        let n_trees = r.u32()? as usize;
-        if n_trees == 0 || n_trees > 10_000 {
-            return Err(corrupt("implausible tree count"));
-        }
-        let trees = (0..n_trees)
-            .map(|_| decode_node(&mut r, norm.channels, 0))
-            .collect::<Result<Vec<_>, _>>()?;
-        r.finish()?;
-        Ok(IsolationForest {
-            seed,
-            n_trees,
-            subsample,
-            state: Some(Fitted { norm, trees, c_psi }),
-        })
-    }
-}
-
-impl Detector for IsolationForest {
-    fn name(&self) -> &'static str {
-        "IForest"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        let mut rng = rng_for(self.seed, 0x1f);
-        let psi = self.subsample.min(train_n.len());
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        let psi = SUBSAMPLE.min(train.len());
         let max_depth = (psi as f64).log2().ceil() as usize;
-        let rows: Vec<&[f32]> = (0..train_n.len()).map(|l| train_n.row(l)).collect();
-        let trees = (0..self.n_trees)
+        let rows: Vec<&[f32]> = (0..train.len()).map(|l| train.row(l)).collect();
+        let trees = (0..N_TREES)
             .map(|_| {
                 let sample: Vec<&[f32]> = (0..psi)
                     .map(|_| rows[rng.gen_range(0..rows.len())])
                     .collect();
-                grow(&sample, 0, max_depth, &mut rng)
+                grow(&sample, 0, max_depth, rng)
             })
             .collect();
-        self.state = Some(Fitted {
-            norm,
+        Ok(Forest {
+            subsample: SUBSAMPLE,
             trees,
             c_psi: c_factor(psi),
-        });
-        Ok(())
+        })
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        (0..test.len())
+            .map(|l| {
+                let x = test.row(l);
+                let mean_path: f64 = self
+                    .trees
+                    .iter()
+                    .map(|t| path_length(t, x, 0.0))
+                    .sum::<f64>()
+                    / self.trees.len() as f64;
+                (2.0f64).powf(-mean_path / self.c_psi.max(1e-9))
+            })
+            .collect()
+    }
+
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.subsample as u32);
+        e.f64(self.c_psi);
+        e.u32(self.trees.len() as u32);
+        for t in &self.trees {
+            encode_node(t, e);
+        }
+    }
+
+    fn take(_: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let subsample = d.u32()? as usize;
+        let c_psi = d.f64()?;
+        if !c_psi.is_finite() || c_psi < 0.0 {
+            return Err(corrupt("invalid c(ψ) factor"));
+        }
+        let n_trees = d.u32()? as usize;
+        if n_trees == 0 || n_trees > 10_000 {
+            return Err(corrupt("implausible tree count"));
+        }
+        let trees = (0..n_trees)
+            .map(|_| decode_node(d, channels, 0))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Forest {
+            subsample,
+            trees,
+            c_psi,
+        })
     }
 }
 

@@ -6,17 +6,20 @@
 //! anomaly score is the reconstruction error. Simplified from the original
 //! two-stage training to a single joint objective (DESIGN.md).
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, coverage_starts, put_tensors, require_len, rng_for, run_training, sample_starts,
-    take_tensors, NormState, PointScores,
+    batch_windows, put_tensors, reconstruction_scores, require_len, row_mse, run_training,
+    sample_starts, take_tensors, Baseline, Family,
 };
 
 const WINDOW: usize = 24;
@@ -27,7 +30,8 @@ const TRAIN_STEPS: usize = 120;
 const BATCH: usize = 12;
 const KL_WEIGHT: f32 = 0.05;
 
-struct Model {
+/// InterFusion's fitted hierarchical VAE.
+pub struct Model {
     // Inter-metric view: per-timestamp MLP encoder over the K channels.
     metric_enc: Linear,
     metric_mu: Linear,
@@ -42,7 +46,7 @@ struct Model {
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    fn new(rng: &mut StdRng, k: usize) -> Self {
         Model {
             metric_enc: Linear::new(rng, k, HIDDEN),
             metric_mu: Linear::new(rng, HIDDEN, Z_METRIC),
@@ -107,111 +111,52 @@ impl Model {
 }
 
 /// Hierarchical inter-metric + temporal VAE.
-pub struct InterFusion {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type InterFusion = Baseline<Model>;
 
-struct Fitted {
-    norm: NormState,
-    model: Model,
-}
+impl Family for Model {
+    const NAME: &'static str = "InterFusion";
+    const TAG: u64 = 0x1f05;
+    const MIN_ROWS: usize = WINDOW;
 
-impl InterFusion {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        InterFusion { seed, state: None }
-    }
-
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let recon = no_grad(|| st.model.forward(&x, None, None).0);
-            let (xd, rd) = (x.data(), recon.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        err += ((xd[idx] - rd[idx]) as f64).powi(2);
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.model.params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x1f05);
-        let model = Model::new(&mut rng, norm.channels);
-        take_tensors(&mut r, &model.params())?;
-        r.finish()?;
-        Ok(InterFusion {
-            seed,
-            state: Some(Fitted { norm, model }),
-        })
-    }
-}
-
-impl Detector for InterFusion {
-    fn name(&self) -> &'static str {
-        "InterFusion"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 1)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x1f05);
-        let model = Model::new(&mut rng, k);
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 1)?;
+        let k = train.dim();
+        let model = Model::new(rng, k);
         let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
-            let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW);
+            let starts = sample_starts(rng, train.len(), WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW);
             let eps_m = Tensor::from_vec(
-                normal_vec(&mut rng, BATCH * WINDOW * Z_METRIC),
+                normal_vec(rng, BATCH * WINDOW * Z_METRIC),
                 &[BATCH * WINDOW, Z_METRIC],
             )
             .expect("eps_m");
-            let eps_t =
-                Tensor::from_vec(normal_vec(&mut rng, BATCH * Z_TEMPORAL), &[BATCH, Z_TEMPORAL])
-                    .expect("eps_t");
+            let eps_t = Tensor::from_vec(normal_vec(rng, BATCH * Z_TEMPORAL), &[BATCH, Z_TEMPORAL])
+                .expect("eps_t");
             let (recon, mu_m, logvar_m, mu_t, logvar_t) =
                 model.forward(&x, Some(&eps_m), Some(&eps_t));
             mse(&recon, &x)
                 .add(&kl_standard_normal(&mu_m, &logvar_m).scale(KL_WEIGHT / WINDOW as f32))
                 .add(&kl_standard_normal(&mu_t, &logvar_t).scale(KL_WEIGHT))
         });
-        self.state = Some(Fitted { norm, model });
-        Ok(())
+        Ok(model)
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        reconstruction_scores(test, WINDOW, |x| {
+            let recon = no_grad(|| self.forward(x, None, None).0);
+            row_mse(x, &recon, test.dim())
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let model = Model::new(rng, channels);
+        take_tensors(d, &model.params())?;
+        Ok(model)
     }
 }
 

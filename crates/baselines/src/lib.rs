@@ -25,9 +25,23 @@
 //! paper's table): the cheapest rung of the serving layer's escalation
 //! ladder.
 //!
-//! Every family additionally exposes `score_series` (read-only, mask-aware
-//! scoring) and `snapshot_payload`/`restore_from_payload` (the family's
-//! native byte payload inside the registry's checkpoint envelope).
+//! Every family is a [`Baseline`] over its own fitted model: the lifecycle
+//! owns the seed, the fitted state, min-max input scaling, the mask-aware
+//! `score_series`, the `snapshot_payload`/`restore_from_payload` frame (the
+//! family's native byte payload inside the registry's checkpoint envelope)
+//! and the `Detector` face. [`FAMILIES`] lists every family once; the
+//! evaluation suite and the registry read it.
+//!
+//! # Adding a family
+//!
+//! 1. Write its module: the fitted model type, and `impl Family` with its
+//!    name, RNG tag, scoring minimum, `fit(rng, train)`, `score(test, _)`
+//!    (the reconstruction or forecast scaffold in `common` does the
+//!    windowing) and its payload body (`put`/`take`). Export
+//!    `pub type MyFamily = Baseline<MyModel>`.
+//! 2. Add one [`FAMILIES`] row, `row::<MyModel>()`.
+//! 3. Add one `DetectorKind` variant in `imdiff-registry`, with a new
+//!    envelope tag and the same name.
 
 mod beatgan;
 mod common;
@@ -43,6 +57,7 @@ mod tranad;
 mod zscore;
 
 pub use beatgan::BeatGan;
+pub use common::{Baseline, BaselineDetector};
 pub use gdn::Gdn;
 pub use iforest::IsolationForest;
 pub use interfusion::InterFusion;
@@ -54,23 +69,65 @@ pub use omni::OmniAnomaly;
 pub use tranad::TranAd;
 pub use zscore::ZScoreDetector;
 
-use imdiff_data::Detector;
+use common::Family;
+use imdiff_data::{Detector, DetectorError};
+
+/// A baseline detector of any family.
+pub type BoxedBaseline = Box<dyn BaselineDetector>;
+
+/// One row of the family table.
+pub struct BaselineFamily {
+    /// The family name (`Detector::name`).
+    pub name: &'static str,
+    /// Fewest rows the fitted detector scores.
+    pub min_rows: usize,
+    /// Whether the family is one of the paper's Table 2 baselines.
+    pub in_paper: bool,
+    /// An unfitted detector with the given seed.
+    pub new: fn(u64) -> BoxedBaseline,
+    /// A fitted detector rebuilt from its seed and `snapshot_payload`.
+    pub restore: fn(u64, &[u8]) -> Result<BoxedBaseline, DetectorError>,
+}
+
+const fn row<F: Family>() -> BaselineFamily {
+    BaselineFamily {
+        name: F::NAME,
+        min_rows: F::MIN_ROWS,
+        in_paper: F::IN_PAPER,
+        new: |seed| Box::new(Baseline::<F>::new(seed)),
+        restore: |seed, bytes| Ok(Box::new(Baseline::<F>::restore_from_payload(seed, bytes)?)),
+    }
+}
+
+/// Every baseline family, cheapest first; the paper's baselines in its
+/// table order.
+pub static FAMILIES: [BaselineFamily; 11] = [
+    row::<zscore::Profile>(),
+    row::<iforest::Forest>(),
+    row::<beatgan::AutoEncoder>(),
+    row::<lstm_ad::Forecaster>(),
+    row::<interfusion::Model>(),
+    row::<omni::Vae>(),
+    row::<gdn::GraphDeviation>(),
+    row::<madgan::Gan>(),
+    row::<mtad_gat::Model>(),
+    row::<mscred::SignatureAutoEncoder>(),
+    row::<tranad::Model>(),
+];
+
+/// The family table row of `name`, if it names a baseline family.
+pub fn family(name: &str) -> Option<&'static BaselineFamily> {
+    FAMILIES.iter().find(|f| f.name == name)
+}
 
 /// Instantiates all ten baselines with a common seed, in the paper's table
 /// order.
 pub fn all_baselines(seed: u64) -> Vec<Box<dyn Detector>> {
-    vec![
-        Box::new(IsolationForest::new(seed)),
-        Box::new(BeatGan::new(seed)),
-        Box::new(LstmAd::new(seed)),
-        Box::new(InterFusion::new(seed)),
-        Box::new(OmniAnomaly::new(seed)),
-        Box::new(Gdn::new(seed)),
-        Box::new(MadGan::new(seed)),
-        Box::new(MtadGat::new(seed)),
-        Box::new(Mscred::new(seed)),
-        Box::new(TranAd::new(seed)),
-    ]
+    FAMILIES
+        .iter()
+        .filter(|f| f.in_paper)
+        .map(|f| (f.new)(seed) as Box<dyn Detector>)
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,15 +5,18 @@
 //! also the stand-in for the paper's "legacy deep-learning detector" in the
 //! Table 7 production comparison.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Lstm, Module};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, ops, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, put_tensors, require_len, rng_for, run_training, sample_starts, take_tensors,
-    NormState,
+    batch_windows, forecast_scores, put_tensors, require_len, run_training, sample_starts,
+    take_tensors, Baseline, Family,
 };
 
 /// Context length fed to the LSTM.
@@ -23,18 +26,22 @@ const TRAIN_STEPS: usize = 150;
 const BATCH: usize = 16;
 
 /// LSTM next-step forecaster scored by squared prediction error.
-pub struct LstmAd {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type LstmAd = Baseline<Forecaster>;
 
-struct Fitted {
-    norm: NormState,
+/// LSTM-AD's fitted model: a stacked LSTM and its next-step head.
+pub struct Forecaster {
     lstm: Lstm,
     head: Linear,
 }
 
-impl Fitted {
+impl Forecaster {
+    fn new(rng: &mut StdRng, k: usize) -> Self {
+        Forecaster {
+            lstm: Lstm::new(rng, k, HIDDEN),
+            head: Linear::new(rng, HIDDEN, k),
+        }
+    }
+
     fn params(&self) -> Vec<Tensor> {
         let mut p = self.lstm.params();
         p.extend(self.head.params());
@@ -42,113 +49,59 @@ impl Fitted {
     }
 }
 
-impl LstmAd {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        LstmAd { seed, state: None }
-    }
+impl Family for Forecaster {
+    const NAME: &'static str = "LSTM-AD";
+    const TAG: u64 = 0x15a;
+    const MIN_ROWS: usize = WINDOW + 1;
 
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        if test_n.len() <= WINDOW {
-            return Err(DetectorError::InvalidTrainingData(
-                "test series shorter than the context window".into(),
-            ));
-        }
-        let k = test_n.dim();
-        let mut scores = vec![0.0f64; test_n.len()];
-        // Batched prediction over all forecastable positions.
-        let positions: Vec<usize> = (0..test_n.len() - WINDOW).collect();
-        for chunk in positions.chunks(64) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let pred = no_grad(|| st.head.forward(&st.lstm.forward_last(&x)));
-            let pd = pred.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = test_n.row(s + WINDOW);
-                let err: f64 = truth
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &t)| ((t - pd[bi * k + c]) as f64).powi(2))
-                    .sum::<f64>()
-                    / k as f64;
-                scores[s + WINDOW] = err;
-            }
-        }
-        // Warm-up positions inherit the first computed score.
-        let first = scores[WINDOW];
-        for s in scores.iter_mut().take(WINDOW) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let k = norm.channels;
-        let mut rng = rng_for(seed, 0x15a);
-        let st = Fitted {
-            norm,
-            lstm: Lstm::new(&mut rng, k, HIDDEN),
-            head: Linear::new(&mut rng, HIDDEN, k),
-        };
-        take_tensors(&mut r, &st.params())?;
-        r.finish()?;
-        Ok(LstmAd {
-            seed,
-            state: Some(st),
-        })
-    }
-}
-
-impl Detector for LstmAd {
-    fn name(&self) -> &'static str {
-        "LSTM-AD"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 2)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x15a);
-        let lstm = Lstm::new(&mut rng, k, HIDDEN);
-        let head = Linear::new(&mut rng, HIDDEN, k);
-        let mut params = lstm.params();
-        params.extend(head.params());
-        let mut opt = Adam::new(params, 2e-3);
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 2)?;
+        let k = train.dim();
+        let model = Forecaster::new(rng, k);
+        let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
-            let starts = sample_starts(&mut rng, train_n.len() - 1, WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW);
+            let starts = sample_starts(rng, train.len() - 1, WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW);
             let target_rows: Vec<f32> = starts
                 .iter()
-                .flat_map(|&s| train_n.row(s + WINDOW).to_vec())
+                .flat_map(|&s| train.row(s + WINDOW).to_vec())
                 .collect();
             let target = Tensor::from_vec(target_rows, &[BATCH, k]).expect("target shape");
-            let pred = head.forward(&lstm.forward_last(&x));
+            let pred = model.head.forward(&model.lstm.forward_last(&x));
             ops::mse(&pred, &target)
         });
-        self.state = Some(Fitted { norm, lstm, head });
-        Ok(())
+        Ok(model)
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = test.dim();
+        forecast_scores(test.len(), WINDOW, 64, |chunk| {
+            let x = batch_windows(test, chunk, WINDOW);
+            let pred = no_grad(|| self.head.forward(&self.lstm.forward_last(&x)));
+            let pd = pred.data();
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(bi, &s)| {
+                    test.row(s + WINDOW)
+                        .iter()
+                        .enumerate()
+                        .map(|(c, &t)| ((t - pd[bi * k + c]) as f64).powi(2))
+                        .sum::<f64>()
+                        / k as f64
+                })
+                .collect()
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let model = Forecaster::new(rng, channels);
+        take_tensors(d, &model.params())?;
+        Ok(model)
     }
 }
 

@@ -6,17 +6,20 @@
 //! gradient-searching the latent space for the best-matching generation,
 //! combined with the discriminator's suspicion of the window.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{bce_with_logits, mse};
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{backward, no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, coverage_starts, put_tensors, require_len, rng_for, sample_starts, take_tensors,
-    NormState, PointScores,
+    batch_windows, put_tensors, reconstruction_scores, require_len, sample_starts, take_tensors,
+    Baseline, Family,
 };
 
 const WINDOW: usize = 16;
@@ -78,18 +81,23 @@ impl Discriminator {
 }
 
 /// MAD-GAN with gradient latent-inversion scoring.
-pub struct MadGan {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type MadGan = Baseline<Gan>;
 
-struct Fitted {
-    norm: NormState,
+/// MAD-GAN's fitted generator and discriminator.
+pub struct Gan {
     gen: Generator,
     disc: Discriminator,
 }
 
-fn build_models(rng: &mut rand::rngs::StdRng, k: usize) -> (Generator, Discriminator) {
+impl Gan {
+    fn params(&self) -> Vec<Tensor> {
+        let mut params = self.gen.params();
+        params.extend(self.disc.params());
+        params
+    }
+}
+
+fn build_models(rng: &mut StdRng, k: usize) -> (Generator, Discriminator) {
     let gen = Generator {
         proj: Linear::new(rng, LATENT, HIDDEN),
         gru: Gru::new(rng, HIDDEN, HIDDEN),
@@ -103,110 +111,15 @@ fn build_models(rng: &mut rand::rngs::StdRng, k: usize) -> (Generator, Discrimin
     (gen, disc)
 }
 
-impl MadGan {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        MadGan { seed, state: None }
-    }
+impl Family for Gan {
+    const NAME: &'static str = "MAD-GAN";
+    const TAG: u64 = 0x6a2d;
+    const MIN_ROWS: usize = WINDOW;
 
-    /// Read-only scoring with an optional declared-missing mask. The
-    /// latent inversion mutates only a fresh per-call `z` tensor, so the
-    /// fitted weights stay untouched.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = st.gen.out_dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let logits = no_grad(|| st.disc.forward(&x));
-
-            // MAD-GAN latent inversion: optimize z so G(z) reconstructs the
-            // windows; anomalous windows remain poorly reconstructible
-            // because the generator only models normal behaviour.
-            let z = Tensor::zeros(&[chunk.len(), LATENT]).into_param();
-            let mut z_opt = Adam::new(vec![z.clone()], 0.1);
-            for _ in 0..INVERSION_STEPS {
-                let recon = st.gen.forward(&z);
-                let loss = mse(&recon, &x);
-                backward(&loss);
-                z_opt.step();
-                z_opt.zero_grad();
-                // The generator's own accumulated gradients are discarded.
-                for p in st.gen.params() {
-                    p.zero_grad();
-                }
-            }
-            let recon = no_grad(|| st.gen.forward(&z));
-            let ld = logits.data();
-            let xd = x.data();
-            let rd = recon.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                // Discriminator suspicion: low logit = looks fake/anomalous.
-                let disc_score = 1.0 - 1.0 / (1.0 + (-ld[bi] as f64).exp());
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for ch in 0..k {
-                        let idx = bi * WINDOW * k + l * k + ch;
-                        let d = (xd[idx] - rd[idx]) as f64;
-                        err += d * d;
-                    }
-                    ps.add(
-                        s + l,
-                        (1.0 - DISC_WEIGHT) * err / k as f64 + DISC_WEIGHT * disc_score,
-                    );
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        let mut params = st.gen.params();
-        params.extend(st.disc.params());
-        put_tensors(&mut w, &params);
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x6a2d);
-        let (gen, disc) = build_models(&mut rng, norm.channels);
-        let mut params = gen.params();
-        params.extend(disc.params());
-        take_tensors(&mut r, &params)?;
-        r.finish()?;
-        Ok(MadGan {
-            seed,
-            state: Some(Fitted { norm, gen, disc }),
-        })
-    }
-}
-
-impl Detector for MadGan {
-    fn name(&self) -> &'static str {
-        "MAD-GAN"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 1)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x6a2d);
-        let (gen, disc) = build_models(&mut rng, k);
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 1)?;
+        let k = train.dim();
+        let (gen, disc) = build_models(rng, k);
         let mut g_opt = Adam::new(gen.params(), 2e-3);
         let mut d_opt = Adam::new(disc.params(), 1e-3);
         let ones = Tensor::ones(&[BATCH, 1]);
@@ -214,9 +127,9 @@ impl Detector for MadGan {
 
         for _ in 0..TRAIN_STEPS {
             // Discriminator update.
-            let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
-            let real = batch_windows(&train_n, &starts, WINDOW);
-            let z = Tensor::from_vec(normal_vec(&mut rng, BATCH * LATENT), &[BATCH, LATENT])
+            let starts = sample_starts(rng, train.len(), WINDOW, BATCH);
+            let real = batch_windows(train, &starts, WINDOW);
+            let z = Tensor::from_vec(normal_vec(rng, BATCH * LATENT), &[BATCH, LATENT])
                 .expect("z shape");
             let fake = no_grad(|| gen.forward(&z));
             let d_loss = bce_with_logits(&disc.forward(&real), &ones)
@@ -228,7 +141,7 @@ impl Detector for MadGan {
             d_opt.zero_grad();
 
             // Generator update: fool the discriminator.
-            let z2 = Tensor::from_vec(normal_vec(&mut rng, BATCH * LATENT), &[BATCH, LATENT])
+            let z2 = Tensor::from_vec(normal_vec(rng, BATCH * LATENT), &[BATCH, LATENT])
                 .expect("z2 shape");
             let fake2 = gen.forward(&z2);
             let g_loss = bce_with_logits(&disc.forward(&fake2), &ones);
@@ -238,12 +151,64 @@ impl Detector for MadGan {
             g_opt.zero_grad();
             d_opt.zero_grad();
         }
-        self.state = Some(Fitted { norm, gen, disc });
-        Ok(())
+        Ok(Gan { gen, disc })
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    /// The latent inversion mutates only a fresh per-call `z` tensor, so
+    /// the fitted weights stay untouched.
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = self.gen.out_dim();
+        reconstruction_scores(test, WINDOW, |x| {
+            let b = x.dims()[0];
+            let logits = no_grad(|| self.disc.forward(x));
+
+            // MAD-GAN latent inversion: optimize z so G(z) reconstructs the
+            // windows; anomalous windows remain poorly reconstructible
+            // because the generator only models normal behaviour.
+            let z = Tensor::zeros(&[b, LATENT]).into_param();
+            let mut z_opt = Adam::new(vec![z.clone()], 0.1);
+            for _ in 0..INVERSION_STEPS {
+                let recon = self.gen.forward(&z);
+                let loss = mse(&recon, x);
+                backward(&loss);
+                z_opt.step();
+                z_opt.zero_grad();
+                // The generator's own accumulated gradients are discarded.
+                for p in self.gen.params() {
+                    p.zero_grad();
+                }
+            }
+            let recon = no_grad(|| self.gen.forward(&z));
+            let ld = logits.data();
+            let xd = x.data();
+            let rd = recon.data();
+            let mut errs = Vec::with_capacity(b * WINDOW);
+            for bi in 0..b {
+                // Discriminator suspicion: low logit = looks fake/anomalous.
+                let disc_score = 1.0 - 1.0 / (1.0 + (-ld[bi] as f64).exp());
+                for l in 0..WINDOW {
+                    let mut err = 0.0f64;
+                    for ch in 0..k {
+                        let idx = bi * WINDOW * k + l * k + ch;
+                        let d = (xd[idx] - rd[idx]) as f64;
+                        err += d * d;
+                    }
+                    errs.push((1.0 - DISC_WEIGHT) * err / k as f64 + DISC_WEIGHT * disc_score);
+                }
+            }
+            errs
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let (gen, disc) = build_models(rng, channels);
+        let gan = Gan { gen, disc };
+        take_tensors(d, &gan.params())?;
+        Ok(gan)
     }
 }
 

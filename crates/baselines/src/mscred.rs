@@ -9,7 +9,9 @@
 //! simplified away (DESIGN.md, substitution 5). Scoring is the signature
 //! residual, mapped back to timestamps.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Conv1d, Linear, Module};
 use imdiff_nn::ops::mse;
@@ -17,14 +19,19 @@ use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
 use rand::rngs::StdRng;
-
-use crate::common::{
-    corrupt, put_tensors, require_len, rng_for, run_training, take_tensors, NormState,
-};
 use rand::Rng;
+
+#[cfg(test)]
+use crate::common::rng_for;
+use crate::common::{
+    corrupt, forecast_scores, put_tensors, require_len, run_training, take_tensors, Baseline,
+    Family,
+};
 
 /// Segment lengths of the three signature scales.
 const SCALES: [usize; 3] = [8, 16, 32];
+/// The largest scale: rows of context before the first signature.
+const MAX_SCALE: usize = SCALES[SCALES.len() - 1];
 /// Random-projection width per scale.
 const PROJ: usize = 24;
 const HIDDEN: usize = 48;
@@ -123,127 +130,29 @@ impl AutoEncoder {
 }
 
 /// Signature-matrix convolutional autoencoder.
-pub struct Mscred {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type Mscred = Baseline<SignatureAutoEncoder>;
 
-struct Fitted {
-    norm: NormState,
+/// MSCRED's fitted state: the signature front end and its autoencoder.
+pub struct SignatureAutoEncoder {
     extractor: SignatureExtractor,
     ae: AutoEncoder,
 }
 
-impl Mscred {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        Mscred { seed, state: None }
-    }
+impl Family for SignatureAutoEncoder {
+    const NAME: &'static str = "MSCRED";
+    const TAG: u64 = 0x35c7ed;
+    const MIN_ROWS: usize = MAX_SCALE + 1;
 
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        let max_scale = *SCALES.iter().max().expect("scales non-empty");
-        require_len(&test_n, max_scale + 1)?;
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, MAX_SCALE + 2)?;
+        let extractor = SignatureExtractor::new(train.dim(), rng);
         let feat_dim = SCALES.len() * PROJ;
-        let positions: Vec<usize> = (max_scale..=test_n.len()).collect();
-        let mut scores = vec![0.0f64; test_n.len()];
-        for chunk in positions.chunks(64) {
-            let batch: Vec<f32> = chunk
-                .iter()
-                .flat_map(|&t| st.extractor.features(&test_n, t))
-                .collect();
-            let x = Tensor::from_vec(batch, &[chunk.len(), feat_dim]).expect("batch");
-            let recon = no_grad(|| st.ae.forward(&x));
-            let (xd, rd) = (x.data(), recon.data());
-            for (bi, &t) in chunk.iter().enumerate() {
-                let err: f64 = (0..feat_dim)
-                    .map(|j| ((xd[bi * feat_dim + j] - rd[bi * feat_dim + j]) as f64).powi(2))
-                    .sum::<f64>()
-                    / feat_dim as f64;
-                scores[t - 1] = err; // signature at end-position t covers t-1
-            }
-        }
-        // Warm-up region inherits the first computed score.
-        let first = scores[max_scale - 1];
-        for s in scores.iter_mut().take(max_scale - 1) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload. The
-    /// random projections are stored explicitly so a restored detector is
-    /// independent of the RNG draw order at fit time.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        w.u32(st.extractor.projections.len() as u32);
-        for p in &st.extractor.projections {
-            w.f32s(p);
-        }
-        put_tensors(&mut w, &st.ae.params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let k = norm.channels;
-        let n_scales = r.u32()? as usize;
-        if n_scales != SCALES.len() {
-            return Err(corrupt("signature scale count mismatch"));
-        }
-        let n_pairs = k * (k + 1) / 2;
-        let mut projections = Vec::with_capacity(n_scales);
-        for _ in 0..n_scales {
-            let p = r.f32s()?;
-            if p.len() != n_pairs * PROJ {
-                return Err(corrupt("projection matrix shape mismatch"));
-            }
-            projections.push(p);
-        }
-        let extractor = SignatureExtractor { projections, k };
-        let mut rng = rng_for(seed, 0x35c7ed);
-        let ae = AutoEncoder::new(&mut rng);
-        take_tensors(&mut r, &ae.params())?;
-        r.finish()?;
-        Ok(Mscred {
-            seed,
-            state: Some(Fitted {
-                norm,
-                extractor,
-                ae,
-            }),
-        })
-    }
-}
-
-impl Detector for Mscred {
-    fn name(&self) -> &'static str {
-        "MSCRED"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        let max_scale = *SCALES.iter().max().expect("scales non-empty");
-        require_len(&train_n, max_scale + 2)?;
-        let mut rng = rng_for(self.seed, 0x35c7ed);
-        let extractor = SignatureExtractor::new(train_n.dim(), &mut rng);
-        let feat_dim = SCALES.len() * PROJ;
-        let ae = AutoEncoder::new(&mut rng);
+        let ae = AutoEncoder::new(rng);
         // Precompute training features on a stride-2 grid.
-        let positions: Vec<usize> = (max_scale..train_n.len()).step_by(2).collect();
+        let positions: Vec<usize> = (MAX_SCALE..train.len()).step_by(2).collect();
         let feats: Vec<Vec<f32>> = positions
             .iter()
-            .map(|&t| extractor.features(&train_n, t))
+            .map(|&t| extractor.features(train, t))
             .collect();
         let mut opt = Adam::new(ae.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
@@ -253,16 +162,60 @@ impl Detector for Mscred {
             let x = Tensor::from_vec(batch, &[BATCH, feat_dim]).expect("batch shape");
             mse(&ae.forward(&x), &x)
         });
-        self.state = Some(Fitted {
-            norm,
-            extractor,
-            ae,
-        });
-        Ok(())
+        Ok(SignatureAutoEncoder { extractor, ae })
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    /// Scores each row by the residual of the signature that ends on it,
+    /// so the first `MAX_SCALE - 1` rows are the warm-up.
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let feat_dim = SCALES.len() * PROJ;
+        forecast_scores(test.len(), MAX_SCALE - 1, 64, |chunk| {
+            let batch: Vec<f32> = chunk
+                .iter()
+                .flat_map(|&s| self.extractor.features(test, s + MAX_SCALE))
+                .collect();
+            let x = Tensor::from_vec(batch, &[chunk.len(), feat_dim]).expect("batch");
+            let recon = no_grad(|| self.ae.forward(&x));
+            let (xd, rd) = (x.data(), recon.data());
+            (0..chunk.len())
+                .map(|bi| {
+                    (0..feat_dim)
+                        .map(|j| ((xd[bi * feat_dim + j] - rd[bi * feat_dim + j]) as f64).powi(2))
+                        .sum::<f64>()
+                        / feat_dim as f64
+                })
+                .collect()
+        })
+    }
+
+    /// The random projections are stored explicitly so a restored detector
+    /// is independent of the RNG draw order at fit time.
+    fn put(&self, e: &mut Enc) {
+        e.u32(self.extractor.projections.len() as u32);
+        for p in &self.extractor.projections {
+            e.f32s(p);
+        }
+        put_tensors(e, &self.ae.params());
+    }
+
+    fn take(rng: &mut StdRng, k: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let n_scales = d.u32()? as usize;
+        if n_scales != SCALES.len() {
+            return Err(corrupt("signature scale count mismatch"));
+        }
+        let n_pairs = k * (k + 1) / 2;
+        let mut projections = Vec::with_capacity(n_scales);
+        for _ in 0..n_scales {
+            let p = d.f32s()?;
+            if p.len() != n_pairs * PROJ {
+                return Err(corrupt("projection matrix shape mismatch"));
+            }
+            projections.push(p);
+        }
+        let extractor = SignatureExtractor { projections, k };
+        let ae = AutoEncoder::new(rng);
+        take_tensors(d, &ae.params())?;
+        Ok(SignatureAutoEncoder { extractor, ae })
     }
 }
 

@@ -6,16 +6,19 @@
 //! both errors, exactly the structure of the original paper (attention
 //! implemented with the shared transformer attention layers).
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module, MultiHeadAttention};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::Adam;
 use imdiff_nn::{no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, put_tensors, require_len, rng_for, run_training, sample_starts, take_tensors,
-    NormState,
+    batch_windows, forecast_scores, put_tensors, require_len, run_training, sample_starts,
+    take_tensors, Baseline, Family,
 };
 
 const WINDOW: usize = 16;
@@ -25,7 +28,8 @@ const BATCH: usize = 8;
 /// Forecast-vs-reconstruction blend in the anomaly score (γ of the paper).
 const GAMMA: f64 = 0.5;
 
-struct Model {
+/// MTAD-GAT's fitted attention + GRU model.
+pub struct Model {
     in_proj: Linear,
     feature_attn: MultiHeadAttention,
     temporal_attn: MultiHeadAttention,
@@ -36,7 +40,7 @@ struct Model {
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    fn new(rng: &mut StdRng, k: usize) -> Self {
         Model {
             in_proj: Linear::new(rng, k, HIDDEN),
             feature_attn: MultiHeadAttention::new(rng, HIDDEN, 4),
@@ -90,115 +94,69 @@ impl Model {
 }
 
 /// Feature + temporal graph-attention detector with joint objectives.
-pub struct MtadGat {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type MtadGat = Baseline<Model>;
 
-struct Fitted {
-    norm: NormState,
-    model: Model,
-}
+impl Family for Model {
+    const NAME: &'static str = "MTAD-GAT";
+    const TAG: u64 = 0x3a7;
+    const MIN_ROWS: usize = WINDOW + 1;
 
-impl MtadGat {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        MtadGat { seed, state: None }
-    }
-
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW + 1)?;
-        let k = st.model.k;
-        let mut scores = vec![0.0f64; test_n.len()];
-        let positions: Vec<usize> = (0..test_n.len() - WINDOW).collect();
-        for chunk in positions.chunks(48) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let (forecast, recon) = no_grad(|| st.model.forward(&x));
-            let fd = forecast.data();
-            let rd = recon.data();
-            let xd = x.data();
-            for (bi, &s) in chunk.iter().enumerate() {
-                let truth = test_n.row(s + WINDOW);
-                let f_err: f64 = (0..k)
-                    .map(|c| ((truth[c] - fd[bi * k + c]) as f64).powi(2))
-                    .sum::<f64>()
-                    / k as f64;
-                // Reconstruction error of the window's final position.
-                let base = bi * WINDOW * k + (WINDOW - 1) * k;
-                let r_err: f64 = (0..k)
-                    .map(|c| ((xd[base + c] - rd[base + c]) as f64).powi(2))
-                    .sum::<f64>()
-                    / k as f64;
-                scores[s + WINDOW] = GAMMA * f_err + (1.0 - GAMMA) * r_err;
-            }
-        }
-        let first = scores[WINDOW];
-        for s in scores.iter_mut().take(WINDOW) {
-            *s = first;
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.model.params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x3a7);
-        let model = Model::new(&mut rng, norm.channels);
-        take_tensors(&mut r, &model.params())?;
-        r.finish()?;
-        Ok(MtadGat {
-            seed,
-            state: Some(Fitted { norm, model }),
-        })
-    }
-}
-
-impl Detector for MtadGat {
-    fn name(&self) -> &'static str {
-        "MTAD-GAT"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 2)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x3a7);
-        let model = Model::new(&mut rng, k);
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 2)?;
+        let k = train.dim();
+        let model = Model::new(rng, k);
         let mut opt = Adam::new(model.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
-            let starts = sample_starts(&mut rng, train_n.len() - 1, WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW);
+            let starts = sample_starts(rng, train.len() - 1, WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW);
             let target_rows: Vec<f32> = starts
                 .iter()
-                .flat_map(|&s| train_n.row(s + WINDOW).to_vec())
+                .flat_map(|&s| train.row(s + WINDOW).to_vec())
                 .collect();
             let target = Tensor::from_vec(target_rows, &[BATCH, k]).expect("target");
             let (forecast, recon) = model.forward(&x);
             mse(&forecast, &target).add(&mse(&recon, &x))
         });
-        self.state = Some(Fitted { norm, model });
-        Ok(())
+        Ok(model)
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = self.k;
+        forecast_scores(test.len(), WINDOW, 48, |chunk| {
+            let x = batch_windows(test, chunk, WINDOW);
+            let (forecast, recon) = no_grad(|| self.forward(&x));
+            let fd = forecast.data();
+            let rd = recon.data();
+            let xd = x.data();
+            chunk
+                .iter()
+                .enumerate()
+                .map(|(bi, &s)| {
+                    let truth = test.row(s + WINDOW);
+                    let f_err: f64 = (0..k)
+                        .map(|c| ((truth[c] - fd[bi * k + c]) as f64).powi(2))
+                        .sum::<f64>()
+                        / k as f64;
+                    // Reconstruction error of the window's final position.
+                    let base = bi * WINDOW * k + (WINDOW - 1) * k;
+                    let r_err: f64 = (0..k)
+                        .map(|c| ((xd[base + c] - rd[base + c]) as f64).powi(2))
+                        .sum::<f64>()
+                        / k as f64;
+                    GAMMA * f_err + (1.0 - GAMMA) * r_err
+                })
+                .collect()
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let model = Model::new(rng, channels);
+        take_tensors(d, &model.params())?;
+        Ok(model)
     }
 }
 

@@ -5,17 +5,20 @@
 //! error under the sampled latent (a Monte-Carlo estimate of the negative
 //! reconstruction probability the original paper thresholds with POT).
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Gru, Linear, Module};
 use imdiff_nn::ops::{kl_standard_normal, mse};
 use imdiff_nn::optim::Adam;
 use imdiff_nn::rng::normal_vec;
 use imdiff_nn::{no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, coverage_starts, put_tensors, require_len, rng_for, run_training, sample_starts,
-    take_tensors, NormState, PointScores,
+    batch_windows, put_tensors, reconstruction_scores, require_len, row_mse, run_training,
+    sample_starts, take_tensors, Baseline, Family,
 };
 
 const WINDOW: usize = 24;
@@ -25,7 +28,8 @@ const TRAIN_STEPS: usize = 120;
 const BATCH: usize = 12;
 const KL_WEIGHT: f32 = 0.05;
 
-struct Vae {
+/// OmniAnomaly's fitted GRU + VAE.
+pub struct Vae {
     gru: Gru,
     mu_head: Linear,
     logvar_head: Linear,
@@ -34,7 +38,7 @@ struct Vae {
 }
 
 impl Vae {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    fn new(rng: &mut StdRng, k: usize) -> Self {
         Vae {
             gru: Gru::new(rng, k, HIDDEN),
             mu_head: Linear::new(rng, HIDDEN, LATENT),
@@ -66,111 +70,53 @@ impl Vae {
 }
 
 /// GRU + VAE reconstruction detector.
-pub struct OmniAnomaly {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type OmniAnomaly = Baseline<Vae>;
 
-struct Fitted {
-    norm: NormState,
-    vae: Vae,
-}
+impl Family for Vae {
+    const NAME: &'static str = "OmniAnomaly";
+    const TAG: u64 = 0x0a21;
+    const MIN_ROWS: usize = WINDOW;
 
-impl OmniAnomaly {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        OmniAnomaly { seed, state: None }
-    }
-
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            // Mean-latent reconstruction (deterministic scoring pass).
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let recon = no_grad(|| {
-                let (mu, _) = st.vae.encode(&x);
-                st.vae.decode(&mu)
-            });
-            let flat = x.reshape(&[chunk.len(), WINDOW * k]);
-            let (xd, rd) = (flat.data(), recon.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        err += ((xd[idx] - rd[idx]) as f64).powi(2);
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.vae.params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x0a21);
-        let vae = Vae::new(&mut rng, norm.channels);
-        take_tensors(&mut r, &vae.params())?;
-        r.finish()?;
-        Ok(OmniAnomaly {
-            seed,
-            state: Some(Fitted { norm, vae }),
-        })
-    }
-}
-
-impl Detector for OmniAnomaly {
-    fn name(&self) -> &'static str {
-        "OmniAnomaly"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 1)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x0a21);
-        let vae = Vae::new(&mut rng, k);
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 1)?;
+        let k = train.dim();
+        let vae = Vae::new(rng, k);
         let mut opt = Adam::new(vae.params(), 2e-3);
         run_training(&mut opt, TRAIN_STEPS, 1.0, |_| {
-            let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW);
+            let starts = sample_starts(rng, train.len(), WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW);
             let flat = x.reshape(&[BATCH, WINDOW * k]);
             let (mu, logvar) = vae.encode(&x);
             // Reparameterization trick.
-            let eps = Tensor::from_vec(normal_vec(&mut rng, BATCH * LATENT), &[BATCH, LATENT])
+            let eps = Tensor::from_vec(normal_vec(rng, BATCH * LATENT), &[BATCH, LATENT])
                 .expect("eps shape");
             let z = mu.add(&logvar.scale(0.5).exp().mul(&eps));
             let recon = vae.decode(&z);
             mse(&recon, &flat).add(&kl_standard_normal(&mu, &logvar).scale(KL_WEIGHT))
         });
-        self.state = Some(Fitted { norm, vae });
-        Ok(())
+        Ok(vae)
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = test.dim();
+        reconstruction_scores(test, WINDOW, |x| {
+            // Mean-latent reconstruction (deterministic scoring pass).
+            let recon = no_grad(|| {
+                let (mu, _) = self.encode(x);
+                self.decode(&mu)
+            });
+            row_mse(x, &recon, k)
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let vae = Vae::new(rng, channels);
+        take_tensors(d, &vae.params())?;
+        Ok(vae)
     }
 }
 

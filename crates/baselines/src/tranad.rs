@@ -6,16 +6,19 @@
 //! the two decoders play an adversarial game on the phase-2 output. The
 //! anomaly score is `½‖O1 − W‖² + ½‖Ô2 − W‖²`, as in the original.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
 use imdiff_nn::layers::{Linear, Module, TransformerEncoderLayer};
 use imdiff_nn::ops::mse;
 use imdiff_nn::optim::{Adam, Optimizer};
 use imdiff_nn::{backward, no_grad, Tensor};
+use rand::rngs::StdRng;
 
 use crate::common::{
-    batch_windows, coverage_starts, put_tensors, require_len, rng_for, sample_starts, take_tensors,
-    NormState, PointScores,
+    batch_windows, put_tensors, reconstruction_scores, require_len, sample_starts, take_tensors,
+    Baseline, Family,
 };
 
 const WINDOW: usize = 16;
@@ -23,7 +26,8 @@ const HIDDEN: usize = 32;
 const TRAIN_STEPS: usize = 120;
 const BATCH: usize = 8;
 
-struct Model {
+/// TranAD's fitted encoder and its two decoders.
+pub struct Model {
     in_proj: Linear,
     encoder: TransformerEncoderLayer,
     dec1: Linear,
@@ -31,7 +35,7 @@ struct Model {
 }
 
 impl Model {
-    fn new(rng: &mut rand::rngs::StdRng, k: usize) -> Self {
+    fn new(rng: &mut StdRng, k: usize) -> Self {
         Model {
             in_proj: Linear::new(rng, 2 * k, HIDDEN),
             encoder: TransformerEncoderLayer::new(rng, HIDDEN, 4, 2 * HIDDEN),
@@ -62,100 +66,22 @@ impl Model {
 }
 
 /// Two-phase adversarial transformer reconstructor.
-pub struct TranAd {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type TranAd = Baseline<Model>;
 
-struct Fitted {
-    norm: NormState,
-    model: Model,
-}
+impl Family for Model {
+    const NAME: &'static str = "TranAD";
+    const TAG: u64 = 0x72a4;
+    const MIN_ROWS: usize = WINDOW;
 
-impl TranAd {
-    /// Creates the detector.
-    pub fn new(seed: u64) -> Self {
-        TranAd { seed, state: None }
-    }
-
-    /// Read-only scoring with an optional declared-missing mask.
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let test_n = st.norm.transform_masked(test, missing)?;
-        require_len(&test_n, WINDOW)?;
-        let k = test_n.dim();
-        let starts = coverage_starts(test_n.len(), WINDOW, WINDOW / 2);
-        let mut ps = PointScores::new(test_n.len());
-        for chunk in starts.chunks(32) {
-            let x = batch_windows(&test_n, chunk, WINDOW);
-            let zero_focus = Tensor::zeros(&[chunk.len(), WINDOW, k]);
-            let (o1, o2) = no_grad(|| {
-                let (o1, _) = st.model.forward(&x, &zero_focus);
-                let focus = o1.sub(&x).square();
-                let (_, o2) = st.model.forward(&x, &focus);
-                (o1, o2)
-            });
-            let (xd, o1d, o2d) = (x.data(), o1.data(), o2.data());
-            for (bi, &s) in chunk.iter().enumerate() {
-                for l in 0..WINDOW {
-                    let mut err = 0.0f64;
-                    for c in 0..k {
-                        let idx = bi * WINDOW * k + l * k + c;
-                        let d1 = (xd[idx] - o1d[idx]) as f64;
-                        let d2 = (xd[idx] - o2d[idx]) as f64;
-                        err += 0.5 * d1 * d1 + 0.5 * d2 * d2;
-                    }
-                    ps.add(s + l, err / k as f64);
-                }
-            }
-        }
-        Ok(ps.finish())
-    }
-
-    /// Serializes the fitted state as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        st.norm.encode(&mut w);
-        put_tensors(&mut w, &st.model.all_params());
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let norm = NormState::decode(&mut r)?;
-        let mut rng = rng_for(seed, 0x72a4);
-        let model = Model::new(&mut rng, norm.channels);
-        take_tensors(&mut r, &model.all_params())?;
-        r.finish()?;
-        Ok(TranAd {
-            seed,
-            state: Some(Fitted { norm, model }),
-        })
-    }
-}
-
-impl Detector for TranAd {
-    fn name(&self) -> &'static str {
-        "TranAD"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        let (norm, train_n) = NormState::fit(train)?;
-        require_len(&train_n, WINDOW + 1)?;
-        let k = train_n.dim();
-        let mut rng = rng_for(self.seed, 0x72a4);
-        let model = Model::new(&mut rng, k);
+    fn fit(rng: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
+        require_len(train, WINDOW + 1)?;
+        let k = train.dim();
+        let model = Model::new(rng, k);
         let mut opt = Adam::new(model.all_params(), 2e-3);
 
         for step in 0..TRAIN_STEPS {
-            let starts = sample_starts(&mut rng, train_n.len(), WINDOW, BATCH);
-            let x = batch_windows(&train_n, &starts, WINDOW);
+            let starts = sample_starts(rng, train.len(), WINDOW, BATCH);
+            let x = batch_windows(train, &starts, WINDOW);
             let zero_focus = Tensor::zeros(&[BATCH, WINDOW, k]);
 
             // Phase 1: plain reconstruction with zero focus.
@@ -176,12 +102,42 @@ impl Detector for TranAd {
             opt.step();
             opt.zero_grad();
         }
-        self.state = Some(Fitted { norm, model });
-        Ok(())
+        Ok(model)
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    fn score(&self, test: &Mts, _: Option<&[bool]>) -> Vec<f64> {
+        let k = test.dim();
+        reconstruction_scores(test, WINDOW, |x| {
+            let zero_focus = Tensor::zeros(&[x.dims()[0], WINDOW, k]);
+            let (o1, o2) = no_grad(|| {
+                let (o1, _) = self.forward(x, &zero_focus);
+                let focus = o1.sub(x).square();
+                let (_, o2) = self.forward(x, &focus);
+                (o1, o2)
+            });
+            let (xd, o1d, o2d) = (x.data(), o1.data(), o2.data());
+            (0..xd.len() / k)
+                .map(|row| {
+                    let mut err = 0.0f64;
+                    for c in row * k..(row + 1) * k {
+                        let d1 = (xd[c] - o1d[c]) as f64;
+                        let d2 = (xd[c] - o2d[c]) as f64;
+                        err += 0.5 * d1 * d1 + 0.5 * d2 * d2;
+                    }
+                    err / k as f64
+                })
+                .collect()
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        put_tensors(e, &self.all_params());
+    }
+
+    fn take(rng: &mut StdRng, channels: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let model = Model::new(rng, channels);
+        take_tensors(d, &model.all_params())?;
+        Ok(model)
     }
 }
 

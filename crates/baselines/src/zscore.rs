@@ -5,134 +5,43 @@
 //! cheaper than any neural family, which makes it the default first rung
 //! for tenants whose regime a linear profile explains well.
 
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+#[cfg(test)]
+use imdiff_data::Detector;
+use imdiff_data::{DetectorError, Mts};
 use imdiff_nn::codec::{Dec, Enc};
+use rand::rngs::StdRng;
 
-use crate::common::corrupt;
+use crate::common::{corrupt, Baseline, Family};
 
 /// Floor on the per-channel standard deviation so constant channels don't
 /// blow up the score.
 const MIN_STD: f64 = 1e-6;
 
 /// Per-channel Gaussian profile scored by mean squared z-score.
-pub struct ZScoreDetector {
-    seed: u64,
-    state: Option<Fitted>,
-}
+pub type ZScoreDetector = Baseline<Profile>;
 
-struct Fitted {
+/// The fitted per-channel mean and standard deviation.
+pub struct Profile {
     mean: Vec<f64>,
     std: Vec<f64>,
 }
 
-impl ZScoreDetector {
-    /// Creates the detector. The seed is unused (the fit is closed-form)
-    /// but kept for the registry's uniform constructor shape.
-    pub fn new(seed: u64) -> Self {
-        ZScoreDetector { seed, state: None }
-    }
+impl Family for Profile {
+    const NAME: &'static str = "ZScore";
+    /// The profile draws no random numbers.
+    const TAG: u64 = 0;
+    const MIN_ROWS: usize = 1;
+    /// Scores raw values; declared-missing cells are skipped, not filled.
+    const MIN_MAX: bool = false;
+    /// An extra statistical family, not a row of the paper's table.
+    const IN_PAPER: bool = false;
 
-    /// Read-only scoring with an optional declared-missing mask: declared
-    /// cells contribute zero deviation (the channel mean).
-    pub fn score_series(
-        &self,
-        test: &Mts,
-        missing: Option<&[bool]>,
-    ) -> Result<Vec<f64>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let k = st.mean.len();
-        if test.dim() != k {
-            return Err(DetectorError::DimensionMismatch {
-                expected: k,
-                actual: test.dim(),
-            });
-        }
-        if let Some(m) = missing {
-            if m.len() != test.len() * k {
-                return Err(DetectorError::InvalidTrainingData(format!(
-                    "missing mask has {} cells, series has {}",
-                    m.len(),
-                    test.len() * k
-                )));
-            }
-        }
-        let declared = |l: usize, c: usize| missing.is_some_and(|m| m[l * k + c]);
-        let mut scores = Vec::with_capacity(test.len());
-        for l in 0..test.len() {
-            let mut acc = 0.0f64;
-            for c in 0..k {
-                if declared(l, c) {
-                    continue;
-                }
-                let v = test.get(l, c);
-                if !v.is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-                let z = (v as f64 - st.mean[c]) / st.std[c];
-                acc += z * z;
-            }
-            scores.push(acc / k as f64);
-        }
-        Ok(scores)
-    }
-
-    /// Serializes the fitted profile as the family's registry payload.
-    pub fn snapshot_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        let st = self.state.as_ref().ok_or(DetectorError::NotFitted)?;
-        let mut w = Enc::new();
-        w.u32(st.mean.len() as u32);
-        w.f64s(&st.mean);
-        w.f64s(&st.std);
-        Ok(w.into_vec())
-    }
-
-    /// Rebuilds a fitted detector from [`Self::snapshot_payload`] bytes.
-    pub fn restore_from_payload(seed: u64, bytes: &[u8]) -> Result<Self, DetectorError> {
-        let mut r = Dec::new(bytes);
-        let k = r.u32()? as usize;
-        let mean = r.f64s()?;
-        let std = r.f64s()?;
-        r.finish()?;
-        if k == 0 || mean.len() != k || std.len() != k {
-            return Err(corrupt("z-score profile shape mismatch"));
-        }
-        if mean.iter().any(|m| !m.is_finite()) || std.iter().any(|s| !s.is_finite() || *s <= 0.0)
-        {
-            return Err(corrupt("non-finite z-score profile"));
-        }
-        Ok(ZScoreDetector {
-            seed,
-            state: Some(Fitted { mean, std }),
-        })
-    }
-}
-
-impl Detector for ZScoreDetector {
-    fn name(&self) -> &'static str {
-        "ZScore"
-    }
-
-    fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        if train.is_empty() || train.dim() == 0 {
-            return Err(DetectorError::InvalidTrainingData(
-                "empty training series".into(),
-            ));
-        }
+    fn fit(_: &mut StdRng, train: &Mts) -> Result<Self, DetectorError> {
         let (len, k) = (train.len(), train.dim());
         let mut mean = vec![0.0f64; k];
         for l in 0..len {
             for (c, m) in mean.iter_mut().enumerate() {
-                let v = train.get(l, c);
-                if !v.is_finite() {
-                    return Err(DetectorError::NonFiniteInput {
-                        index: l,
-                        channel: c,
-                    });
-                }
-                *m += v as f64;
+                *m += train.get(l, c) as f64;
             }
         }
         for m in &mut mean {
@@ -149,13 +58,45 @@ impl Detector for ZScoreDetector {
             .into_iter()
             .map(|v| (v / len as f64).sqrt().max(MIN_STD))
             .collect();
-        let _ = self.seed;
-        self.state = Some(Fitted { mean, std });
-        Ok(())
+        Ok(Profile { mean, std })
     }
 
-    fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        Ok(Detection::from_scores(self.score_series(test, None)?))
+    /// Declared-missing cells contribute nothing; the row's score still
+    /// divides by the full channel count.
+    fn score(&self, test: &Mts, missing: Option<&[bool]>) -> Vec<f64> {
+        let k = self.mean.len();
+        let declared = |l: usize, c: usize| missing.is_some_and(|m| m[l * k + c]);
+        (0..test.len())
+            .map(|l| {
+                let mut acc = 0.0f64;
+                for c in 0..k {
+                    if declared(l, c) {
+                        continue;
+                    }
+                    let z = (test.get(l, c) as f64 - self.mean[c]) / self.std[c];
+                    acc += z * z;
+                }
+                acc / k as f64
+            })
+            .collect()
+    }
+
+    /// The channel count is written by the lifecycle ahead of the body.
+    fn put(&self, e: &mut Enc) {
+        e.f64s(&self.mean);
+        e.f64s(&self.std);
+    }
+
+    fn take(_: &mut StdRng, k: usize, d: &mut Dec) -> Result<Self, DetectorError> {
+        let mean = d.f64s()?;
+        let std = d.f64s()?;
+        if mean.len() != k || std.len() != k {
+            return Err(corrupt("z-score profile shape mismatch"));
+        }
+        if mean.iter().any(|m| !m.is_finite()) || std.iter().any(|s| !s.is_finite() || *s <= 0.0) {
+            return Err(corrupt("non-finite z-score profile"));
+        }
+        Ok(Profile { mean, std })
     }
 }
 

@@ -3,14 +3,24 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 
+use imdiff_baselines::{family, FAMILIES};
 use imdiff_data::synthetic::{generate, Benchmark, LabeledDataset};
 use imdiff_data::Detector;
 use imdiffusion::{AblationVariant, ImDiffusionDetector};
 
 use crate::cache::{self, CellKey, CellMetrics};
 use crate::eval::{evaluate_ensemble, evaluate_scores};
-use crate::registry::{make_baseline, TABLE2_DETECTORS};
 use crate::HarnessProfile;
+
+/// The detectors of Table 2, in the paper's row order: the ten baselines of
+/// the family table, then ImDiffusion.
+pub fn table2_detectors() -> impl Iterator<Item = &'static str> {
+    FAMILIES
+        .iter()
+        .filter(|f| f.in_paper)
+        .map(|f| f.name)
+        .chain(["ImDiffusion"])
+}
 
 /// Cache file for the Table 2/3/4 offline suite.
 pub fn offline_cache_path() -> PathBuf {
@@ -31,7 +41,7 @@ pub fn run_offline_suite(profile: &HarnessProfile) -> HashMap<CellKey, CellMetri
     for benchmark in Benchmark::all() {
         for run in 0..profile.runs {
             let mut dataset: Option<LabeledDataset> = None;
-            for detector in TABLE2_DETECTORS {
+            for detector in table2_detectors() {
                 let key = CellKey {
                     detector: detector.to_string(),
                     dataset: benchmark.name().to_string(),
@@ -73,7 +83,7 @@ fn run_cell(
         let out = det.last_output().expect("ensemble output");
         evaluate_ensemble(out, ds)
     } else {
-        let mut det = make_baseline(detector, seed).expect("known baseline");
+        let mut det = (family(detector).expect("known baseline").new)(seed);
         det.fit(&ds.train).expect("baseline fit");
         let detection = det.detect(&ds.test).expect("baseline detect");
         evaluate_scores(&detection, ds)

@@ -1,6 +1,6 @@
 //! Ensemble anomaly inference (§4.5, Algorithm 1, Eq. 12).
 
-use imdiff_data::Mts;
+use imdiff_data::{coverage_starts, Mts};
 use imdiff_diffusion::NoiseSchedule;
 use imdiff_nn::layers::Module;
 use imdiff_nn::obs;
@@ -224,7 +224,7 @@ impl ChainCtx<'_> {
 /// never its result.
 ///
 /// Every chain runs in tape-free forward-only mode (no autodiff graph,
-/// arena-recycled buffers) unless disabled via `IMDIFF_FWD=0` or
+/// arena-recycled buffers) unless the caller is inside
 /// `imdiff_nn::with_forward_only(false, ..)`. The mode is resolved once
 /// here, on the calling thread, and passed into the workers as a value —
 /// thread-local overrides do not reach pool worker threads. Forward-only
@@ -444,24 +444,6 @@ fn sanitize_missing(test: &Mts, missing: Option<&[bool]>) -> (Mts, Vec<bool>, us
         }
     }
     (t, missing_bits, missing_cells)
-}
-
-/// Window start offsets covering the whole series: stride `stride`, plus a
-/// tail window aligned to the end when the last stride leaves a remainder.
-fn coverage_starts(len: usize, window: usize, stride: usize) -> Vec<usize> {
-    assert!(len >= window, "series shorter than one window");
-    let mut starts = Vec::new();
-    let mut s = 0;
-    while s + window <= len {
-        starts.push(s);
-        s += stride;
-    }
-    if let Some(&last) = starts.last() {
-        if last + window < len {
-            starts.push(len - window);
-        }
-    }
-    starts
 }
 
 /// Runs Algorithm 1 over a (normalized) test series.
@@ -879,13 +861,6 @@ mod tests {
             vote_every: 2,
             ..ImDiffusionConfig::quick()
         }
-    }
-
-    #[test]
-    fn coverage_starts_tile_and_tail() {
-        assert_eq!(coverage_starts(48, 16, 16), vec![0, 16, 32]);
-        assert_eq!(coverage_starts(50, 16, 16), vec![0, 16, 32, 34]);
-        assert_eq!(coverage_starts(16, 16, 16), vec![0]);
     }
 
     #[test]

@@ -188,6 +188,25 @@ impl Mts {
     }
 }
 
+/// Window start offsets covering a `len`-row series: stride `stride`, plus
+/// a tail window aligned to the end when the last stride leaves a
+/// remainder, so every row lies in at least one window.
+pub fn coverage_starts(len: usize, window: usize, stride: usize) -> Vec<usize> {
+    assert!(len >= window, "series shorter than one window");
+    let mut starts = Vec::new();
+    let mut s = 0;
+    while s + window <= len {
+        starts.push(s);
+        s += stride;
+    }
+    if let Some(&last) = starts.last() {
+        if last + window < len {
+            starts.push(len - window);
+        }
+    }
+    starts
+}
+
 impl fmt::Debug for Mts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Mts(L={}, K={})", self.len, self.dim)
@@ -322,6 +341,17 @@ mod tests {
         let m = ramp(3, 2);
         assert_eq!(m.column(0), vec![0.0, 2.0, 4.0]);
         assert_eq!(m.column(1), vec![1.0, 3.0, 5.0]);
+    }
+
+    #[test]
+    fn coverage_starts_tile_and_tail() {
+        assert_eq!(coverage_starts(48, 16, 16), vec![0, 16, 32]);
+        assert_eq!(coverage_starts(50, 16, 16), vec![0, 16, 32, 34]);
+        assert_eq!(coverage_starts(16, 16, 16), vec![0]);
+        assert_eq!(coverage_starts(10, 4, 4), vec![0, 4, 6]);
+        assert_eq!(coverage_starts(8, 4, 4), vec![0, 4]);
+        // Half-window stride, as the reconstruction baselines use it.
+        assert_eq!(coverage_starts(40, 24, 12), vec![0, 12, 16]);
     }
 
     #[test]

@@ -81,33 +81,25 @@ pub fn forward_only_if<T>(on: bool, f: impl FnOnce() -> T) -> T {
 }
 
 thread_local! {
-    static FWD_OVERRIDE: std::cell::Cell<Option<bool>> =
-        const { std::cell::Cell::new(None) };
+    static FORWARD_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
 }
 
-/// Whether inference entry points should use [`forward_only`]. On by
-/// default; `IMDIFF_FWD=0` disables it process-wide (kill switch for
-/// A/B comparison), and [`with_forward_only`] overrides it per scope.
+/// Whether inference entry points should use [`forward_only`]: on unless
+/// [`with_forward_only`] turns it off for the current scope.
 pub fn forward_only_enabled() -> bool {
-    if let Some(on) = FWD_OVERRIDE.with(|c| c.get()) {
-        return on;
-    }
-    static ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("IMDIFF_FWD").map_or(true, |v| v.trim() != "0")
-    })
+    FORWARD_ONLY.with(|c| c.get())
 }
 
-/// Scoped thread-local override of [`forward_only_enabled`] (tests, A/B).
+/// Scoped thread-local override of [`forward_only_enabled`]: the tape
+/// path stays reachable as the bit-identity reference in tests.
 pub fn with_forward_only<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    struct Guard(Option<bool>);
+    struct Guard(bool);
     impl Drop for Guard {
         fn drop(&mut self) {
-            FWD_OVERRIDE.with(|c| c.set(self.0));
+            FORWARD_ONLY.with(|c| c.set(self.0));
         }
     }
-    let prev = FWD_OVERRIDE.with(|c| c.replace(Some(on)));
-    let _guard = Guard(prev);
+    let _guard = Guard(FORWARD_ONLY.with(|c| c.replace(on)));
     f()
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The serving stack is generic over [`WindowScorer`], but tenant specs,
 //! checkpoint files and hot-reload plumbing need a single *concrete* type
-//! that can be any family at runtime. `AnyDetector` is that type: an enum
-//! over ImDiffusion and the eleven baseline families behind a uniform
+//! that can be any family at runtime. `AnyDetector` is that type: either
+//! ImDiffusion or a baseline built from the family table
+//! ([`imdiff_baselines::FAMILIES`]), behind a uniform
 //! `fit → snapshot → persist → restore` lifecycle (the IMDE envelope of
 //! [`crate::envelope`]).
 //!
@@ -14,11 +15,8 @@
 //! percentile of the family's training scores), so `revote` reduces to
 //! plain thresholding and the monitor's verdict machinery works unchanged.
 
-use imdiff_baselines::{
-    BeatGan, Gdn, InterFusion, IsolationForest, LstmAd, MadGan, Mscred, MtadGat, OmniAnomaly,
-    TranAd, ZScoreDetector,
-};
-use imdiff_data::{Detection, Detector, DetectorError, Mts};
+use imdiff_baselines::BoxedBaseline;
+use imdiff_data::{coverage_starts, Detection, Detector, DetectorError, Mts};
 use imdiff_metrics::threshold_at_percentile;
 use imdiffusion::{
     DriftReference, EnsembleOutput, ImDiffusionConfig, ImDiffusionDetector, StepTrace,
@@ -33,41 +31,10 @@ const TAU_PERCENTILE: f64 = 99.0;
 
 /// The wrapped family model. ImDiffusion keeps its full detector (ensemble
 /// trace, fine-tuning, native IMDF checkpoints), boxed because it dwarfs
-/// every baseline struct; each baseline keeps its fitted family struct.
+/// every baseline; a baseline is whatever its family table row built.
 pub(crate) enum Model {
-    ZScore(ZScoreDetector),
-    IForest(IsolationForest),
-    BeatGan(BeatGan),
-    LstmAd(LstmAd),
-    InterFusion(InterFusion),
-    OmniAnomaly(OmniAnomaly),
-    Gdn(Gdn),
-    MadGan(MadGan),
-    MtadGat(MtadGat),
-    Mscred(Mscred),
-    TranAd(TranAd),
+    Baseline(BoxedBaseline),
     ImDiffusion(Box<ImDiffusionDetector>),
-}
-
-/// Dispatches over the eleven baseline arms with one body, with a separate
-/// body for the ImDiffusion arm (whose API differs).
-macro_rules! dispatch {
-    ($model:expr, |$d:ident| $body:expr, |$im:ident| $ibody:expr) => {
-        match $model {
-            Model::ZScore($d) => $body,
-            Model::IForest($d) => $body,
-            Model::BeatGan($d) => $body,
-            Model::LstmAd($d) => $body,
-            Model::InterFusion($d) => $body,
-            Model::OmniAnomaly($d) => $body,
-            Model::Gdn($d) => $body,
-            Model::MadGan($d) => $body,
-            Model::MtadGat($d) => $body,
-            Model::Mscred($d) => $body,
-            Model::TranAd($d) => $body,
-            Model::ImDiffusion($im) => $ibody,
-        }
-    };
 }
 
 /// A detector of any registered family, with a uniform lifecycle.
@@ -96,26 +63,15 @@ impl AnyDetector {
     /// [`DetectorKind::min_serving_window`]. `seed` drives every RNG the
     /// family owns, making fit and scoring bit-reproducible.
     pub fn new(kind: DetectorKind, cfg: ImDiffusionConfig, seed: u64) -> Self {
-        let serving_window = if kind == DetectorKind::ImDiffusion {
-            cfg.window
-        } else {
-            cfg.window.max(kind.min_serving_window())
-        };
-        let model = match kind {
-            DetectorKind::ZScore => Model::ZScore(ZScoreDetector::new(seed)),
-            DetectorKind::IForest => Model::IForest(IsolationForest::new(seed)),
-            DetectorKind::BeatGan => Model::BeatGan(BeatGan::new(seed)),
-            DetectorKind::LstmAd => Model::LstmAd(LstmAd::new(seed)),
-            DetectorKind::InterFusion => Model::InterFusion(InterFusion::new(seed)),
-            DetectorKind::OmniAnomaly => Model::OmniAnomaly(OmniAnomaly::new(seed)),
-            DetectorKind::Gdn => Model::Gdn(Gdn::new(seed)),
-            DetectorKind::MadGan => Model::MadGan(MadGan::new(seed)),
-            DetectorKind::MtadGat => Model::MtadGat(MtadGat::new(seed)),
-            DetectorKind::Mscred => Model::Mscred(Mscred::new(seed)),
-            DetectorKind::TranAd => Model::TranAd(TranAd::new(seed)),
-            DetectorKind::ImDiffusion => {
-                Model::ImDiffusion(Box::new(ImDiffusionDetector::new(cfg.clone(), seed)))
-            }
+        let (serving_window, model) = match kind.baseline() {
+            Some(family) => (
+                cfg.window.max(family.min_rows),
+                Model::Baseline((family.new)(seed)),
+            ),
+            None => (
+                cfg.window,
+                Model::ImDiffusion(Box::new(ImDiffusionDetector::new(cfg.clone(), seed))),
+            ),
         };
         AnyDetector {
             kind,
@@ -203,59 +159,61 @@ impl AnyDetector {
         test: &Mts,
         missing: Option<&[bool]>,
     ) -> Result<Vec<f64>, DetectorError> {
-        dispatch!(&self.model, |d| d.score_series(test, missing), |im| {
-            let w = self.serving_window;
-            let (n, k) = (test.len(), test.dim());
-            if n < w {
+        let im = match &self.model {
+            Model::Baseline(d) => return d.score_series(test, missing),
+            Model::ImDiffusion(im) => im,
+        };
+        let w = self.serving_window;
+        let (n, k) = (test.len(), test.dim());
+        if n < w {
+            return Err(DetectorError::InvalidTrainingData(format!(
+                "series has {n} rows, need at least the serving window {w}"
+            )));
+        }
+        if let Some(m) = missing {
+            if m.len() != n * k {
                 return Err(DetectorError::InvalidTrainingData(format!(
-                    "series has {n} rows, need at least the serving window {w}"
+                    "missing mask has {} cells, series has {}",
+                    m.len(),
+                    n * k
                 )));
             }
-            if let Some(m) = missing {
-                if m.len() != n * k {
-                    return Err(DetectorError::InvalidTrainingData(format!(
-                        "missing mask has {} cells, series has {}",
-                        m.len(),
-                        n * k
-                    )));
-                }
+        }
+        let starts = coverage_starts(n, w, w);
+        let slices: Vec<Mts> = starts.iter().map(|&s| test.slice_time(s, w)).collect();
+        let masks: Vec<Option<Vec<bool>>> = starts
+            .iter()
+            .map(|&s| missing.map(|m| m[s * k..(s + w) * k].to_vec()))
+            .collect();
+        let windows: Vec<(&Mts, Option<&[bool]>)> = slices
+            .iter()
+            .zip(&masks)
+            .map(|(sl, ma)| (sl, ma.as_deref()))
+            .collect();
+        let outputs = im.detect_windows(&windows)?;
+        let mut sum = vec![0.0f64; n];
+        let mut cnt = vec![0u32; n];
+        for (&s, out) in starts.iter().zip(&outputs) {
+            for (l, &sc) in out.scores.iter().enumerate() {
+                sum[s + l] += sc;
+                cnt[s + l] += 1;
             }
-            let mut starts: Vec<usize> = (0..n.saturating_sub(w - 1)).step_by(w).collect();
-            if starts.last().copied() != Some(n - w) {
-                starts.push(n - w);
-            }
-            let slices: Vec<Mts> = starts.iter().map(|&s| test.slice_time(s, w)).collect();
-            let masks: Vec<Option<Vec<bool>>> = starts
-                .iter()
-                .map(|&s| missing.map(|m| m[s * k..(s + w) * k].to_vec()))
-                .collect();
-            let windows: Vec<(&Mts, Option<&[bool]>)> = slices
-                .iter()
-                .zip(&masks)
-                .map(|(sl, ma)| (sl, ma.as_deref()))
-                .collect();
-            let outputs = im.detect_windows(&windows)?;
-            let mut sum = vec![0.0f64; n];
-            let mut cnt = vec![0u32; n];
-            for (&s, out) in starts.iter().zip(&outputs) {
-                for (l, &sc) in out.scores.iter().enumerate() {
-                    sum[s + l] += sc;
-                    cnt[s + l] += 1;
-                }
-            }
-            Ok(sum
-                .iter()
-                .zip(&cnt)
-                .map(|(&acc, &c)| acc / c.max(1) as f64)
-                .collect())
-        })
+        }
+        Ok(sum
+            .iter()
+            .zip(&cnt)
+            .map(|(&acc, &c)| acc / c.max(1) as f64)
+            .collect())
     }
 
     /// The family's native checkpoint payload — what the IMDE envelope
     /// wraps: `snapshot_payload` bytes for baselines, the full IMDF image
     /// for ImDiffusion.
     pub(crate) fn native_payload(&self) -> Result<Vec<u8>, DetectorError> {
-        dispatch!(&self.model, |d| d.snapshot_payload(), |im| im.save_bytes())
+        match &self.model {
+            Model::Baseline(d) => d.snapshot_payload(),
+            Model::ImDiffusion(im) => im.save_bytes(),
+        }
     }
 
     /// Synthesizes the degenerate single-step [`EnsembleOutput`] for a
@@ -306,29 +264,14 @@ impl Model {
         channels: usize,
         payload: &[u8],
     ) -> Result<Model, DetectorError> {
-        Ok(match kind {
-            DetectorKind::ZScore => {
-                Model::ZScore(ZScoreDetector::restore_from_payload(seed, payload)?)
-            }
-            DetectorKind::IForest => {
-                Model::IForest(IsolationForest::restore_from_payload(seed, payload)?)
-            }
-            DetectorKind::BeatGan => Model::BeatGan(BeatGan::restore_from_payload(seed, payload)?),
-            DetectorKind::LstmAd => Model::LstmAd(LstmAd::restore_from_payload(seed, payload)?),
-            DetectorKind::InterFusion => {
-                Model::InterFusion(InterFusion::restore_from_payload(seed, payload)?)
-            }
-            DetectorKind::OmniAnomaly => {
-                Model::OmniAnomaly(OmniAnomaly::restore_from_payload(seed, payload)?)
-            }
-            DetectorKind::Gdn => Model::Gdn(Gdn::restore_from_payload(seed, payload)?),
-            DetectorKind::MadGan => Model::MadGan(MadGan::restore_from_payload(seed, payload)?),
-            DetectorKind::MtadGat => Model::MtadGat(MtadGat::restore_from_payload(seed, payload)?),
-            DetectorKind::Mscred => Model::Mscred(Mscred::restore_from_payload(seed, payload)?),
-            DetectorKind::TranAd => Model::TranAd(TranAd::restore_from_payload(seed, payload)?),
-            DetectorKind::ImDiffusion => Model::ImDiffusion(Box::new(
-                ImDiffusionDetector::load_bytes(cfg.clone(), seed, channels, payload)?,
-            )),
+        Ok(match kind.baseline() {
+            Some(family) => Model::Baseline((family.restore)(seed, payload)?),
+            None => Model::ImDiffusion(Box::new(ImDiffusionDetector::load_bytes(
+                cfg.clone(),
+                seed,
+                channels,
+                payload,
+            )?)),
         })
     }
 }
@@ -339,9 +282,8 @@ impl Detector for AnyDetector {
     }
 
     fn fit(&mut self, train: &Mts) -> Result<(), DetectorError> {
-        dispatch!(
-            &mut self.model,
-            |d| {
+        match &mut self.model {
+            Model::Baseline(d) => {
                 d.fit(train)?;
                 // Calibrate the synthesized τ on the training scores and
                 // arm drift detection from the same split — the uniform
@@ -349,19 +291,18 @@ impl Detector for AnyDetector {
                 let train_scores = d.score_series(train, None)?;
                 self.tau = threshold_at_percentile(&train_scores, TAU_PERCENTILE);
                 self.drift_ref = Some(DriftReference::from_series(train, self.serving_window));
-                self.channels = Some(train.dim());
-                Ok(())
-            },
-            |im| {
-                im.fit(train)?;
-                self.channels = Some(train.dim());
-                Ok(())
             }
-        )
+            Model::ImDiffusion(im) => im.fit(train)?,
+        }
+        self.channels = Some(train.dim());
+        Ok(())
     }
 
     fn detect(&mut self, test: &Mts) -> Result<Detection, DetectorError> {
-        dispatch!(&mut self.model, |d| d.detect(test), |im| im.detect(test))
+        match &mut self.model {
+            Model::Baseline(d) => d.detect(test),
+            Model::ImDiffusion(im) => im.detect(test),
+        }
     }
 }
 
@@ -399,20 +340,22 @@ impl WindowScorer for AnyDetector {
         &self,
         windows: &[(&Mts, Option<&[bool]>)],
     ) -> Result<Vec<EnsembleOutput>, DetectorError> {
-        dispatch!(&self.model, |d| {
-            let mut out = Vec::with_capacity(windows.len());
-            for &(series, missing) in windows {
-                if series.len() != self.serving_window {
-                    return Err(DetectorError::InvalidTrainingData(format!(
-                        "window has {} rows, serving window is {}",
-                        series.len(),
-                        self.serving_window
-                    )));
-                }
-                let scores = d.score_series(series, missing)?;
-                out.push(self.synthesize_output(series, missing, scores));
+        let d = match &self.model {
+            Model::Baseline(d) => d,
+            Model::ImDiffusion(im) => return im.detect_windows(windows),
+        };
+        let mut out = Vec::with_capacity(windows.len());
+        for &(series, missing) in windows {
+            if series.len() != self.serving_window {
+                return Err(DetectorError::InvalidTrainingData(format!(
+                    "window has {} rows, serving window is {}",
+                    series.len(),
+                    self.serving_window
+                )));
             }
-            Ok(out)
-        }, |im| im.detect_windows(windows))
+            let scores = d.score_series(series, missing)?;
+            out.push(self.synthesize_output(series, missing, scores));
+        }
+        Ok(out)
     }
 }

@@ -4,6 +4,8 @@
 //! disk), the serving wire protocol (family strings in `Health`/`Reload`
 //! responses) and tenant configuration (parsing family names from specs).
 
+use imdiff_baselines::BaselineFamily;
+
 /// Every detector family the registry can construct, persist and serve.
 ///
 /// Order matters only for documentation; the on-disk identity of a family
@@ -103,20 +105,17 @@ impl DetectorKind {
         DetectorKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
+    /// The family table row of a baseline family; `None` for ImDiffusion.
+    pub(crate) fn baseline(self) -> Option<&'static BaselineFamily> {
+        imdiff_baselines::family(self.name())
+    }
+
     /// The smallest serving window (rows per evaluation) the family can
-    /// score: each neural baseline needs at least its internal context
-    /// window, MSCRED additionally its largest signature scale. For
+    /// score: a baseline's scoring minimum from the family table. For
     /// `ImDiffusion` the serving window must equal the configured
     /// diffusion window, so the floor here is just 1.
     pub fn min_serving_window(self) -> usize {
-        match self {
-            DetectorKind::ZScore | DetectorKind::IForest | DetectorKind::ImDiffusion => 1,
-            DetectorKind::Gdn => 13,
-            DetectorKind::MadGan | DetectorKind::TranAd => 16,
-            DetectorKind::LstmAd | DetectorKind::MtadGat => 17,
-            DetectorKind::BeatGan | DetectorKind::InterFusion | DetectorKind::OmniAnomaly => 24,
-            DetectorKind::Mscred => 33,
-        }
+        self.baseline().map_or(1, |family| family.min_rows)
     }
 }
 
@@ -143,5 +142,57 @@ mod tests {
         assert_eq!(DetectorKind::from_tag(0), None);
         assert_eq!(DetectorKind::from_tag(200), None);
         assert_eq!(DetectorKind::parse("NoSuchFamily"), None);
+    }
+
+    #[test]
+    fn family_table_covers_every_baseline_and_its_minimum_rows_hold() {
+        use crate::AnyDetector;
+        use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
+        use imdiff_data::{Detector, DetectorError};
+        use imdiffusion::ImDiffusionConfig;
+
+        // The table and the kinds name the same families, and each row
+        // constructs a detector of its own name.
+        for family in imdiff_baselines::FAMILIES.iter() {
+            let kind = DetectorKind::parse(family.name).expect(family.name);
+            assert_eq!(kind.min_serving_window(), family.min_rows);
+            assert_eq!((family.new)(1).name(), family.name);
+        }
+        for kind in DetectorKind::ALL {
+            assert_eq!(kind.baseline().is_none(), kind == DetectorKind::ImDiffusion);
+        }
+
+        // A fitted detector scores exactly its minimum and refuses a row
+        // fewer.
+        let ds = generate(
+            Benchmark::Gcp,
+            &SizeProfile {
+                train_len: 96,
+                test_len: 40,
+            },
+            2,
+        );
+        let cfg = ImDiffusionConfig {
+            window: 16,
+            ..ImDiffusionConfig::quick()
+        };
+        for kind in DetectorKind::ALL {
+            if kind == DetectorKind::ImDiffusion {
+                continue;
+            }
+            let min = kind.min_serving_window();
+            let mut det = AnyDetector::new(kind, cfg.clone(), 3);
+            det.fit(&ds.train).unwrap();
+            let scores = det.score_series(&ds.test.slice_time(0, min), None);
+            assert_eq!(scores.map(|s| s.len()).ok(), Some(min), "{kind}");
+            assert!(
+                matches!(
+                    det.score_series(&ds.test.slice_time(0, min - 1), None),
+                    Err(DetectorError::InvalidTrainingData(_))
+                ),
+                "{kind} scored {} rows",
+                min - 1
+            );
+        }
     }
 }

@@ -376,6 +376,37 @@ struct TenantShared {
     family: Mutex<DetectorKind>,
 }
 
+impl TenantShared {
+    /// A registered tenant at generation 1, before its monitor loads.
+    fn new(spec: TenantSpec, shard: usize, active: bool) -> Self {
+        TenantShared {
+            reload_stamp: Mutex::new(stamp(&spec.checkpoint)),
+            family: Mutex::new(spec.family),
+            spec,
+            shard,
+            active: AtomicBool::new(active),
+            generation: AtomicU64::new(1),
+            queue_depth: AtomicU32::new(0),
+            health: Mutex::new(MonitorHealth {
+                state: HealthState::Warming,
+                rows_seen: 0,
+                rows_rejected: 0,
+                cells_imputed: 0,
+                gaps_bridged: 0,
+                rows_bridged: 0,
+                rewarms: 0,
+                degraded_evals: 0,
+                recoveries: 0,
+                drifted: false,
+                drift_trips: 0,
+            }),
+            promo: Mutex::new((PromotionVerdict::NoAttempt, String::new())),
+            incumbent: Mutex::new(None),
+            rollback: Mutex::new(None),
+        }
+    }
+}
+
 /// The family currently serving `t`, as a wire string.
 fn family_name(t: &TenantShared) -> String {
     t.family
@@ -1408,7 +1439,14 @@ fn run_batch(
 
     // Post-promotion regression sentinel: runs after the batch answered,
     // so a rollback lands between batches exactly like a promotion.
-    observe_promotion(inner, monitor, &mut promos[tenant], shared, &batch_flags);
+    observe_promotion(
+        &inner.cfg,
+        monitor,
+        &mut promos[tenant],
+        &mut escs[tenant],
+        shared,
+        &batch_flags,
+    );
 
     // Escalation routing: edge-triggered on the drift latch, applied
     // between batches like every other swap.
@@ -1462,11 +1500,13 @@ fn answer_deferred(st: &SeqState, deferred: Vec<(u64, ReplyTx)>) {
 /// outcome is independent of batch coalescing and thread count. A tripped
 /// watch swaps the archived incumbent back in, bumps the generation (the
 /// rollback is itself an atomic between-batches swap: no serving gap) and
-/// records a `RolledBack` verdict for the next `Reload` round-trip.
+/// records a `RolledBack` verdict for the next `Reload` round-trip. Like every
+/// swap it resyncs the escalation router's drift latch.
 fn observe_promotion(
-    inner: &ServerInner,
+    cfg: &ServeConfig,
     monitor: &mut ServeMonitor,
     promo: &mut PromoState,
+    esc: &mut EscState,
     shared: &TenantShared,
     flags: &[bool],
 ) {
@@ -1482,8 +1522,7 @@ fn observe_promotion(
             Some(w) => {
                 w.seen += 1;
                 w.anomalous += usize::from(flag);
-                (w.seen >= inner.cfg.regression_watch)
-                    .then_some((w.seen, w.anomalous, w.baseline))
+                (w.seen >= cfg.regression_watch).then_some((w.seen, w.anomalous, w.baseline))
             }
         };
         let Some((seen, anomalous, baseline)) = decided else {
@@ -1491,8 +1530,7 @@ fn observe_promotion(
         };
         promo.watch = None;
         let rate = anomalous as f64 / seen as f64;
-        let tripwire =
-            (inner.cfg.regression_factor * baseline).max(inner.cfg.regression_min_rate);
+        let tripwire = (cfg.regression_factor * baseline).max(cfg.regression_min_rate);
         if rate <= tripwire {
             // Promotion confirmed: the archive is no longer needed and
             // the post-swap verdicts seed the next baseline.
@@ -1529,6 +1567,9 @@ fn observe_promotion(
                 *shared.health.lock().unwrap_or_else(|e| e.into_inner()) =
                     monitor.health();
                 promo.recent.clear();
+                // The swap cleared the drift latch; resync so the router
+                // does not read that as a regime settling.
+                esc.was_drifted = monitor.drift_status().drifted;
             }
             Err(_) => obs::counter("serve.reload_errors", 1),
         }
@@ -2295,35 +2336,7 @@ impl Server {
         let shared: Vec<Arc<TenantShared>> = tenants
             .into_iter()
             .enumerate()
-            .map(|(i, spec)| {
-                let initial_stamp = stamp(&spec.checkpoint);
-                let family = spec.family;
-                Arc::new(TenantShared {
-                    spec,
-                    shard: placement[i],
-                    active: AtomicBool::new(active[i]),
-                    generation: AtomicU64::new(1),
-                    queue_depth: AtomicU32::new(0),
-                    health: Mutex::new(MonitorHealth {
-                        state: HealthState::Warming,
-                        rows_seen: 0,
-                        rows_rejected: 0,
-                        cells_imputed: 0,
-                        gaps_bridged: 0,
-                        rows_bridged: 0,
-                        rewarms: 0,
-                        degraded_evals: 0,
-                        recoveries: 0,
-                        drifted: false,
-                        drift_trips: 0,
-                    }),
-                    reload_stamp: Mutex::new(initial_stamp),
-                    promo: Mutex::new((PromotionVerdict::NoAttempt, String::new())),
-                    incumbent: Mutex::new(None),
-                    rollback: Mutex::new(None),
-                    family: Mutex::new(family),
-                })
-            })
+            .map(|(i, spec)| Arc::new(TenantShared::new(spec, placement[i], active[i])))
             .collect();
         let completions =
             Completions::new().map_err(|e| ServeError::Io(e.to_string()))?;
@@ -2505,5 +2518,94 @@ mod tests {
         // More shards than tenants of a family, and a single shard.
         assert_eq!(place_tenants([ZScore, IForest, ZScore], 4), [0, 1, 1]);
         assert_eq!(place_tenants([ZScore, IForest, ZScore], 1), [0, 0, 0]);
+    }
+
+    #[test]
+    fn rollback_of_a_drifted_tenant_does_not_deescalate() {
+        use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
+        use imdiff_data::Detector;
+
+        let ds = generate(
+            Benchmark::Gcp,
+            &SizeProfile {
+                train_len: 160,
+                test_len: 96,
+            },
+            3,
+        );
+        let k = ds.train.dim();
+        let cfg = ImDiffusionConfig {
+            window: 16,
+            ..ImDiffusionConfig::quick()
+        };
+        let fitted = |kind| {
+            let mut det = AnyDetector::new(kind, cfg.clone(), 5);
+            det.fit(&ds.train).unwrap();
+            det
+        };
+        // The tenant served ZScore, promoted IForest, and its ladder's
+        // only rung is IForest: any ladder re-run would repin IForest.
+        let dir = std::env::temp_dir().join(format!("imdf-rollback-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rung = dir.join("iforest.imde");
+        fitted(DetectorKind::IForest).save(&rung).unwrap();
+        let shared = TenantShared::new(
+            TenantSpec {
+                id: "t".into(),
+                checkpoint: dir.join("canonical.imde"),
+                cfg: cfg.clone(),
+                seed: 5,
+                channels: k,
+                hop: 4,
+                holdout: None,
+                drift_policy: Some((2.0, 1)),
+                family: DetectorKind::ZScore,
+                escalation: Some(EscalationSpec {
+                    rungs: vec![RungSpec {
+                        kind: DetectorKind::IForest,
+                        checkpoint: rung,
+                    }],
+                    f1_tolerance: 0.0,
+                    holdout_rows: (0..48).map(|l| ds.test.row(l).to_vec()).collect(),
+                    holdout_labels: ds.labels[..48].to_vec(),
+                }),
+            },
+            0,
+            true,
+        );
+        *shared.rollback.lock().unwrap() =
+            Some(Box::new(fitted(DetectorKind::ZScore).to_spec().unwrap()));
+
+        // The promoted IForest drifts: rows far outside its training range.
+        let mut monitor = StreamingMonitor::new(fitted(DetectorKind::IForest), k, 4).unwrap();
+        assert!(monitor.set_drift_policy(2.0, 1));
+        for l in 0..64 {
+            let row: Vec<f32> = ds.test.row(l).iter().map(|v| v + 50.0).collect();
+            monitor.push(&row).unwrap();
+        }
+        assert!(monitor.drift_status().drifted);
+        let mut esc = EscState { was_drifted: true };
+
+        // Its regression watch trips on the next verdict.
+        let serve = ServeConfig::default();
+        let mut promo = PromoState {
+            recent: VecDeque::new(),
+            watch: Some(RegressionWatch {
+                baseline: 0.0,
+                seen: serve.regression_watch - 1,
+                anomalous: serve.regression_watch - 1,
+            }),
+        };
+        obs::set_enabled(true);
+        let evaluations = || obs::snapshot().counter("serve.escalation.evaluations");
+        let before = evaluations();
+        observe_promotion(&serve, &mut monitor, &mut promo, &mut esc, &shared, &[true]);
+        route_escalation(&mut monitor, &mut promo, &mut esc, &shared);
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(monitor.detector().kind(), DetectorKind::ZScore);
+        assert_eq!(*shared.family.lock().unwrap(), DetectorKind::ZScore);
+        assert_eq!(shared.promo.lock().unwrap().0, PromotionVerdict::RolledBack);
+        assert_eq!(evaluations(), before, "the rollback re-ran the ladder");
     }
 }

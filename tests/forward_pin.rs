@@ -14,14 +14,19 @@
 //! state): a change to how a format is written must leave those digests
 //! unchanged.
 //!
-//! Last, it pins every verdict of a streaming monitor fed past its rolling
+//! It pins every verdict of a streaming monitor fed past its rolling
 //! history capacity, in both threshold modes and across a sidecar
 //! restore: a change to how the monitor keeps its thresholds must leave
 //! those digests unchanged.
+//!
+//! Last, it pins every baseline family's whole-series scores (with and
+//! without declared-missing cells), one served window and its IMDE
+//! envelope bytes, per tier: a change to how the baselines are built,
+//! scored or persisted must leave those digests unchanged.
 
 use imdiffusion_repro::core::{
     ensemble_infer_for_tests, stream_path, BatchItem, HealthState, ImDiffusionConfig,
-    ImTransformer, StreamingMonitor, ThresholdMode, Trainer, TrainerOptions,
+    ImTransformer, StreamingMonitor, ThresholdMode, Trainer, TrainerOptions, WindowScorer,
 };
 use imdiffusion_repro::data::synthetic::{generate, Benchmark, SizeProfile};
 use imdiffusion_repro::data::{Detector, Mts};
@@ -451,4 +456,139 @@ fn monitor_verdicts_are_pinned() {
     let pot = monitor_verdict_digest(ThresholdMode::PotDynamic { risk: 1e-3 });
     println!("monitor verdicts native={native:#018x} pot={pot:#018x}");
     assert_eq!((native, pot), MONITOR_PINS, "(Native, PotDynamic)");
+}
+
+// ---------------------------------------------------------------------------
+// Baseline families
+// ---------------------------------------------------------------------------
+//
+// Every baseline family fitted through the registry on the same seeded
+// series, then scored whole (with and without declared-missing cells),
+// scored as one serving window, and saved as an IMDE envelope. The
+// neural families train and score through matmul, so each digest is
+// pinned per tier.
+
+/// Per-family digests: `(family, Scalar, Avx2Fma)`.
+const BASELINE_PINS: [(DetectorKind, u64, u64); 11] = [
+    (
+        DetectorKind::ZScore,
+        0xbc8a_6310_66f2_6934,
+        0xbc8a_6310_66f2_6934,
+    ),
+    (
+        DetectorKind::IForest,
+        0xc691_5f09_e072_960f,
+        0xc691_5f09_e072_960f,
+    ),
+    (
+        DetectorKind::BeatGan,
+        0xc7f0_da83_0a78_df35,
+        0xbdb9_83a4_f99f_2494,
+    ),
+    (
+        DetectorKind::LstmAd,
+        0x4ca3_bb64_e401_e1ce,
+        0x7f40_f2a6_370c_f26a,
+    ),
+    (
+        DetectorKind::InterFusion,
+        0x4bf1_0644_b562_93b8,
+        0xe010_e6fd_a26b_3949,
+    ),
+    (
+        DetectorKind::OmniAnomaly,
+        0x5b18_26f8_e25e_a62c,
+        0x61bc_ce65_8cfd_1b60,
+    ),
+    (
+        DetectorKind::Gdn,
+        0xc739_16cc_cea2_c840,
+        0x3396_2044_17a7_5a80,
+    ),
+    (
+        DetectorKind::MadGan,
+        0xc1c1_5f8f_d13a_c07b,
+        0xf219_94f6_0784_f3e9,
+    ),
+    (
+        DetectorKind::MtadGat,
+        0x71ab_4246_7452_bf7e,
+        0x6a6d_e7fe_48da_789c,
+    ),
+    (
+        DetectorKind::Mscred,
+        0x9b97_13bb_cc6f_3a2d,
+        0x4188_8dcf_80d1_3fde,
+    ),
+    (
+        DetectorKind::TranAd,
+        0x3e5a_8d91_f3ec_2ba8,
+        0xf408_b25a_cf24_bbc3,
+    ),
+];
+
+fn baseline_digest(kind: DetectorKind, train: &Mts, test: &Mts) -> u64 {
+    let det = fitted(kind, train);
+    let mut h = Fnv::new();
+    for s in det.score_series(test, None).unwrap() {
+        h.eat(s.to_bits());
+    }
+    let k = test.dim();
+    let mut holed = test.clone();
+    let mut mask = vec![false; test.len() * k];
+    for (l, c) in [(0, 0), (5, 3), (6, 3), (21, k - 1)] {
+        holed.set(l, c, f32::NAN);
+        mask[l * k + c] = true;
+    }
+    for s in det.score_series(&holed, Some(&mask)).unwrap() {
+        h.eat(s.to_bits());
+    }
+    let w = det.window();
+    let tail = holed.slice_time(test.len() - w, w);
+    let out = det
+        .score_windows(&[(&tail, Some(&mask[(test.len() - w) * k..]))])
+        .unwrap();
+    assert_eq!(out.len(), 1);
+    for s in &out[0].scores {
+        h.eat(s.to_bits());
+    }
+    for &v in &out[0].votes {
+        h.eat(v as u64);
+    }
+    for e in &out[0].cell_error {
+        h.eat(e.to_bits());
+    }
+    h.eat(bytes_digest(&det.save_bytes().unwrap()));
+    h.0
+}
+
+#[test]
+fn baseline_families_are_pinned() {
+    let (train, test) = gcp();
+    let floor = BASELINE_PINS
+        .iter()
+        .map(|p| p.0.min_serving_window())
+        .max()
+        .unwrap();
+    assert!(test.len() > floor, "the series must outlast every floor");
+    let mut wrong = Vec::new();
+    for tier in tiers() {
+        for &(kind, scalar, avx2) in &BASELINE_PINS {
+            let want = if tier == Tier::Scalar { scalar } else { avx2 };
+            for t in [0, 1] {
+                let got = simd::with_tier(tier, || {
+                    at_threads(t, || baseline_digest(kind, &train, &test))
+                });
+                println!(
+                    "baseline {} tier={} threads={t} digest={got:#018x}",
+                    kind.name(),
+                    tier.name()
+                );
+                if got != want {
+                    wrong.push(format!("{} tier={} threads={t}", kind.name(), tier.name()));
+                }
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "baseline digests moved: {wrong:?}");
 }
