@@ -69,19 +69,21 @@
 //! canonical checkpoint is missing at activation, the ladder is evaluated
 //! on its labeled holdout and the cheapest rung within `f1_tolerance` of
 //! the best is pinned (and persisted as the canonical envelope, so
-//! failover restores the same pin). After that the router is
-//! edge-triggered on the monitor's debounced drift latch: a trip swaps in
-//! the ladder apex (a regime change earns the expensive model), a clear
-//! re-runs the holdout evaluation so the tenant can settle back onto a
-//! cheaper rung. Every repin persists the envelope and bumps the
-//! generation, exactly like a hot reload.
+//! failover restores the same pin; a canonical envelope that exists but
+//! does not decode is counted as a corrupt pin and re-chosen the same
+//! way). After that the router is edge-triggered on each batch's move of
+//! the monitor's debounced drift latch: a trip swaps in the ladder apex
+//! (a regime change earns the expensive model), a clear re-runs the
+//! holdout evaluation so the tenant can settle back onto a cheaper rung.
+//! Every repin persists the envelope and bumps the generation, exactly
+//! like a hot reload.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -336,6 +338,12 @@ fn stamp(path: &std::path::Path) -> Option<FileStamp> {
     Some((meta.modified().ok(), meta.len()))
 }
 
+/// Locks `m`, taking over a poisoned lock rather than propagating the
+/// poison, so one panicked thread cannot wedge every other one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The monitor type shards own: a streaming monitor over *any* registry
 /// family.
 type ServeMonitor = StreamingMonitor<AnyDetector>;
@@ -366,10 +374,6 @@ struct TenantShared {
     /// compares candidates against). Captured at load/adoption and
     /// refreshed on every swap.
     incumbent: Mutex<Option<Box<AnySpec>>>,
-    /// Pre-promotion incumbent archived for the regression sentinel;
-    /// taken (one-shot) on rollback or once the watch confirms the
-    /// promotion.
-    rollback: Mutex<Option<Box<AnySpec>>>,
     /// Family actually serving right now. Starts as the configured
     /// [`TenantSpec::family`], then tracks every load, swap and
     /// escalation repin; reported on health and reload answers.
@@ -402,18 +406,13 @@ impl TenantShared {
             }),
             promo: Mutex::new((PromotionVerdict::NoAttempt, String::new())),
             incumbent: Mutex::new(None),
-            rollback: Mutex::new(None),
         }
     }
 }
 
 /// The family currently serving `t`, as a wire string.
 fn family_name(t: &TenantShared) -> String {
-    t.family
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .name()
-        .to_string()
+    lock(&t.family).name().to_string()
 }
 
 /// A queued scoring request.
@@ -493,6 +492,14 @@ impl SeqState {
         seq <= self.floor || self.applied.contains(&seq)
     }
 
+    /// The reply to `seq`, if it is still in the replay cache.
+    fn cached(&self, seq: u64) -> Option<Response> {
+        self.cache
+            .iter()
+            .find(|(s, _)| *s == seq)
+            .map(|(_, resp)| resp.clone())
+    }
+
     /// Records an ingested id, advancing the contiguous floor and
     /// bounding the out-of-order set.
     fn note_applied(&mut self, seq: u64) {
@@ -534,6 +541,9 @@ struct RegressionWatch {
     seen: usize,
     /// How many of them were anomalous.
     anomalous: usize,
+    /// The pre-promotion incumbent a trip restores. It goes with the
+    /// watch: on the decision, on a repin and on adoption.
+    target: Box<AnySpec>,
 }
 
 impl PromoState {
@@ -546,12 +556,14 @@ impl PromoState {
     }
 }
 
-/// Shard-local escalation-router state for one tenant: the drift latch
-/// as of the previous batch, for edge detection. (Which rung is pinned
-/// is not duplicated here — the monitor's detector family is the truth.)
-#[derive(Default)]
-struct EscState {
-    was_drifted: bool,
+/// Everything a shard keeps for one tenant it serves. Exists only for
+/// active tenants; [`activate`] builds it fresh, so adoption starts with
+/// clean dedup and sentinel state. (Which escalation rung is pinned is
+/// not kept here: the monitor's detector family is the truth.)
+struct Slot {
+    monitor: ServeMonitor,
+    seq: SeqState,
+    promo: PromoState,
 }
 
 #[derive(Default)]
@@ -595,7 +607,7 @@ impl ServerInner {
     fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
         for shard in &self.shards {
-            let _g = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+            let _g = lock(&shard.q);
             shard.cv.notify_all();
         }
         self.completions.wake();
@@ -607,7 +619,7 @@ impl ServerInner {
             .iter()
             .filter(|t| t.active.load(Ordering::SeqCst))
             .map(|t| {
-                let h = *t.health.lock().unwrap_or_else(|e| e.into_inner());
+                let h = *lock(&t.health);
                 TenantHealth {
                     id: t.spec.id.clone(),
                     state: match h.state {
@@ -660,20 +672,9 @@ impl ServerInner {
             return;
         }
         {
-            let mut guard = t.reload_stamp.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = lock(&t.reload_stamp);
             *guard = new_stamp.or_else(|| stamp(&t.spec.checkpoint));
         }
-        let reject = |reply: Option<ReplyTx>, verdict: PromotionVerdict, msg: String| {
-            *t.promo.lock().unwrap_or_else(|e| e.into_inner()) = (verdict, msg.clone());
-            if let Some(tx) = reply {
-                tx.send(Response::ReloadStatus {
-                    generation: t.generation.load(Ordering::SeqCst),
-                    verdict,
-                    detail: msg,
-                    family: family_name(t),
-                });
-            }
-        };
         let spec = match AnyDetector::load(
             &t.spec.cfg,
             t.spec.seed,
@@ -704,24 +705,24 @@ impl ServerInner {
                 // the incumbent keeps serving without a gap.
                 obs::counter("serve.reload_errors", 1);
                 obs::counter("serve.promotion.rejected_corrupt", 1);
-                reject(reply, PromotionVerdict::RejectedCorrupt, msg);
+                settle(t, PromotionVerdict::RejectedCorrupt, msg, reply);
                 return;
             }
         };
         if let Some(holdout) = &t.spec.holdout {
-            let incumbent = t.incumbent.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            let incumbent = lock(&t.incumbent).clone();
             if let Some(inc) = incumbent {
                 obs::counter("serve.promotion.evaluated", 1);
                 if let Err(msg) = gate_candidate(&spec, &inc, holdout, &t.spec) {
                     obs::counter("serve.promotion.rejected_gate", 1);
-                    reject(reply, PromotionVerdict::RejectedGate, msg);
+                    settle(t, PromotionVerdict::RejectedGate, msg, reply);
                     return;
                 }
             }
         }
         let shard = &self.shards[t.shard];
         {
-            let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = lock(&shard.q);
             // One pending swap per tenant is enough; newest wins. A
             // superseded reload's requester still gets an answer.
             let mut superseded: Vec<ReplyTx> = Vec::new();
@@ -735,7 +736,7 @@ impl ServerInner {
                 _ => true,
             });
             for tx in superseded {
-                let verdict = t.promo.lock().unwrap_or_else(|e| e.into_inner()).0;
+                let verdict = lock(&t.promo).0;
                 tx.send(Response::ReloadStatus {
                     generation: t.generation.load(Ordering::SeqCst),
                     verdict,
@@ -750,6 +751,20 @@ impl ServerInner {
             });
         }
         shard.cv.notify_all();
+    }
+}
+
+/// Records `t`'s latest promotion verdict, then answers the `Reload`
+/// request that asked for it, if any, at the generation now serving.
+fn settle(t: &TenantShared, verdict: PromotionVerdict, detail: String, reply: Option<ReplyTx>) {
+    *lock(&t.promo) = (verdict, detail.clone());
+    if let Some(tx) = reply {
+        tx.send(Response::ReloadStatus {
+            generation: t.generation.load(Ordering::SeqCst),
+            verdict,
+            detail,
+            family: family_name(t),
+        });
     }
 }
 
@@ -964,6 +979,10 @@ fn evaluate_and_choose(
 /// replica persisted. When it is missing (or unreadable) and an
 /// escalation ladder is configured, the ladder is evaluated instead and
 /// the winner is persisted as the new canonical envelope before serving.
+/// A canonical envelope that reads but does not decode is a corrupt pin:
+/// availability wins and the ladder re-chooses all the same, but the loss
+/// is counted (`serve.escalation.corrupt_pins`) rather than passed off as
+/// a first activation.
 fn load_or_escalate(spec: &TenantSpec) -> Result<AnyDetector, DetectorError> {
     match AnyDetector::load(&spec.cfg, spec.seed, spec.channels, &spec.checkpoint) {
         Ok(det) => {
@@ -982,6 +1001,9 @@ fn load_or_escalate(spec: &TenantSpec) -> Result<AnyDetector, DetectorError> {
             let Some(esc) = &spec.escalation else {
                 return Err(e);
             };
+            if !matches!(e, DetectorError::Io(_)) {
+                obs::counter("serve.escalation.corrupt_pins", 1);
+            }
             let winner = evaluate_and_choose(esc, spec)?;
             obs::counter("serve.escalation.initial_pins", 1);
             winner.save(&spec.checkpoint)?;
@@ -1037,6 +1059,25 @@ fn load_monitor(
     Ok(monitor)
 }
 
+/// Builds a fresh [`Slot`] for a tenant, at startup and on failover
+/// adoption alike, and publishes what other threads read: health, the
+/// incumbent spec, the serving family and the checkpoint stamp (an
+/// escalation pin may have just rewritten the canonical checkpoint; the
+/// refreshed stamp keeps the watcher from reloading what the shard just
+/// loaded).
+fn activate(shared: &TenantShared, snapshot_every: Option<u64>) -> Result<Slot, DetectorError> {
+    let monitor = load_monitor(&shared.spec, snapshot_every)?;
+    *lock(&shared.health) = monitor.health();
+    *lock(&shared.incumbent) = monitor.detector().to_spec().ok().map(Box::new);
+    *lock(&shared.family) = monitor.detector().kind();
+    *lock(&shared.reload_stamp) = stamp(&shared.spec.checkpoint);
+    Ok(Slot {
+        monitor,
+        seq: SeqState::default(),
+        promo: PromoState::default(),
+    })
+}
+
 /// Loads the monitors this shard owns, then serves its queue until the
 /// server drains. `ready` reports startup success or the first load error.
 fn shard_main(
@@ -1044,34 +1085,14 @@ fn shard_main(
     shard_idx: usize,
     ready: mpsc::Sender<Result<(), ServeError>>,
 ) {
-    let mut monitors: Vec<Option<ServeMonitor>> = Vec::new();
-    let mut seqs: Vec<SeqState> = Vec::new();
-    let mut promos: Vec<PromoState> = Vec::new();
-    let mut escs: Vec<EscState> = Vec::new();
+    let mut slots: Vec<Option<Slot>> = Vec::with_capacity(inner.tenants.len());
     for t in &inner.tenants {
-        seqs.push(SeqState::default());
-        promos.push(PromoState::default());
-        escs.push(EscState::default());
         if t.shard != shard_idx || !t.active.load(Ordering::SeqCst) {
-            monitors.push(None);
+            slots.push(None);
             continue;
         }
-        match load_monitor(&t.spec, inner.cfg.snapshot_every) {
-            Ok(monitor) => {
-                *t.health.lock().unwrap_or_else(|e| e.into_inner()) = monitor.health();
-                *t.incumbent.lock().unwrap_or_else(|e| e.into_inner()) =
-                    monitor.detector().to_spec().ok().map(Box::new);
-                *t.family.lock().unwrap_or_else(|e| e.into_inner()) =
-                    monitor.detector().kind();
-                // An escalation pin may have just rewritten the canonical
-                // checkpoint; refresh the stamp so the watcher does not
-                // reload what this shard just loaded.
-                *t.reload_stamp.lock().unwrap_or_else(|e| e.into_inner()) =
-                    stamp(&t.spec.checkpoint);
-                escs.last_mut().expect("just pushed").was_drifted =
-                    monitor.drift_status().drifted;
-                monitors.push(Some(monitor));
-            }
+        match activate(t, inner.cfg.snapshot_every) {
+            Ok(slot) => slots.push(Some(slot)),
             Err(source) => {
                 let _ = ready.send(Err(ServeError::Tenant {
                     id: t.spec.id.clone(),
@@ -1092,26 +1113,12 @@ fn shard_main(
             // observes two generations.
             Work::Cmds(cmds) => {
                 for cmd in cmds {
-                    apply_cmd(
-                        &inner,
-                        &mut monitors,
-                        &mut seqs,
-                        &mut promos,
-                        &mut escs,
-                        cmd,
-                    );
+                    apply_cmd(&inner, &mut slots, cmd);
                 }
             }
             Work::Batch { tenant, jobs } => {
-                run_batch(
-                    &inner,
-                    &mut monitors,
-                    &mut seqs,
-                    &mut promos,
-                    &mut escs,
-                    tenant,
-                    jobs,
-                );
+                let slot = slots[tenant].as_mut().expect("shard owns this tenant");
+                run_batch(&inner, slot, tenant, jobs);
             }
         }
     }
@@ -1165,7 +1172,7 @@ enum Work {
 /// tenant, jobs still flush strictly in arrival order, so verdict
 /// streams are unchanged — only cross-tenant scheduling differs.
 fn next_work(inner: &ServerInner, shard: &Shard) -> Work {
-    let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+    let mut q = lock(&shard.q);
     loop {
         if inner.killed.load(Ordering::SeqCst) {
             // Abrupt death: queued jobs are *dropped*, not flushed. Their
@@ -1239,15 +1246,7 @@ fn next_work(inner: &ServerInner, shard: &Shard) -> Work {
 
 /// Applies dequeue-time admission control and sequence-id deduplication,
 /// runs one coalesced `push_batch`, and answers every job.
-fn run_batch(
-    inner: &ServerInner,
-    monitors: &mut [Option<ServeMonitor>],
-    seqs: &mut [SeqState],
-    promos: &mut [PromoState],
-    escs: &mut [EscState],
-    tenant: usize,
-    jobs: Vec<ScoreJob>,
-) {
+fn run_batch(inner: &ServerInner, slot: &mut Slot, tenant: usize, jobs: Vec<ScoreJob>) {
     inner.queued.fetch_sub(jobs.len(), Ordering::SeqCst);
     let shared = &inner.tenants[tenant];
     shared
@@ -1266,17 +1265,13 @@ fn run_batch(
     let mut items = Vec::with_capacity(jobs.len());
     let mut deferred_dups: Vec<(u64, ReplyTx)> = Vec::new();
     for job in jobs {
-        if job.seq != 0 && seqs[tenant].is_applied(job.seq) {
+        if job.seq != 0 && slot.seq.is_applied(job.seq) {
             obs::counter("serve.failover.replay_hits", 1);
-            let cached = seqs[tenant]
-                .cache
-                .iter()
-                .find(|(s, _)| *s == job.seq)
-                .map(|(_, resp)| resp.clone());
             // `Interrupted`, not `Unavailable`: the rows WERE ingested,
             // so the client must not re-submit them under a fresh id —
             // only resync. (A same-id retry just gets this answer again,
             // bounded by the client's budget.)
+            let cached = slot.seq.cached(job.seq);
             job.reply.send(cached.unwrap_or_else(|| Response::Error {
                 code: ErrorCode::Interrupted,
                 message: format!(
@@ -1318,8 +1313,6 @@ fn run_batch(
         senders.push(job.reply);
     }
 
-    let monitor = monitors[tenant].as_mut().expect("shard owns this tenant");
-
     // Stream-position guard: a guarded chunk must start exactly where
     // the monitor is once its predecessors in this batch have landed.
     // After a failover the restored monitor sits at the snapshot
@@ -1328,7 +1321,7 @@ fn run_batch(
     // the stream instead of failing it. Refused jobs do not spend their
     // sequence id, so the client's resync-and-resend is admitted fresh.
     if admitted_starts.iter().any(|&s| s != u64::MAX) {
-        let mut expected = monitor.seen();
+        let mut expected = slot.monitor.seen();
         // `None` = keep; `Some(at)` = refuse, stream was at `at`.
         let mut refuse: Vec<Option<u64>> = vec![None; items.len()];
         for (i, item) in items.iter().enumerate() {
@@ -1376,19 +1369,20 @@ fn run_batch(
         }
     }
     if senders.is_empty() {
-        answer_deferred(&seqs[tenant], deferred_dups);
+        answer_deferred(&slot.seq, deferred_dups);
         return;
     }
 
     let generation = shared.generation.load(Ordering::SeqCst);
+    let drift_before = slot.monitor.drift_status().drifted;
     let replies = {
         let _span = obs::span("serve.batch");
-        monitor.push_batch(&items)
+        slot.monitor.push_batch(&items)
     };
     obs::counter("serve.batches", 1);
     obs::counter("serve.batch_items", items.len() as u64);
     obs::histogram("serve.batch_size", items.len() as f64);
-    *shared.health.lock().unwrap_or_else(|e| e.into_inner()) = monitor.health();
+    *lock(&shared.health) = slot.monitor.health();
 
     // The tenant's verdict stream, in order, for the regression sentinel.
     let batch_flags: Vec<bool> = replies
@@ -1426,7 +1420,7 @@ fn run_batch(
         if seq != 0 {
             // The rows are ingested either way (push_batch answered), so
             // the id is spent: record it and cache the reply verbatim.
-            let st = &mut seqs[tenant];
+            let st = &mut slot.seq;
             st.note_applied(seq);
             st.cache.push_back((seq, resp.clone()));
             while st.cache.len() > inner.cfg.replay_cache {
@@ -1435,39 +1429,29 @@ fn run_batch(
         }
         sender.send(resp);
     }
-    answer_deferred(&seqs[tenant], deferred_dups);
+    answer_deferred(&slot.seq, deferred_dups);
 
-    // Post-promotion regression sentinel: runs after the batch answered,
-    // so a rollback lands between batches exactly like a promotion.
-    observe_promotion(
-        &inner.cfg,
-        monitor,
-        &mut promos[tenant],
-        &mut escs[tenant],
-        shared,
-        &batch_flags,
-    );
-
-    // Escalation routing: edge-triggered on the drift latch, applied
-    // between batches like every other swap.
-    route_escalation(monitor, &mut promos[tenant], &mut escs[tenant], shared);
+    // The regression sentinel and the escalation router run after the
+    // batch answered, so any swap they make lands between batches.
+    after_batch(&inner.cfg, slot, shared, drift_before, &batch_flags);
 
     // Cadenced sidecar snapshot: bounded failover loss. Runs after the
     // batch so the sidecar always captures a between-batches state.
-    if monitor.snapshot_due() {
-        let t0 = Instant::now();
-        match monitor.checkpoint_stream(&shared.spec.checkpoint) {
-            Ok(()) => {
-                monitor.mark_snapshotted();
-                obs::counter("serve.failover.sidecar_writes", 1);
-                obs::histogram(
-                    "serve.failover.sidecar_write_ms",
-                    t0.elapsed().as_secs_f64() * 1e3,
-                );
-            }
-            Err(_) => obs::counter("serve.failover.sidecar_write_errors", 1),
-        }
+    if slot.monitor.snapshot_due() && write_sidecar(&mut slot.monitor, shared).is_err() {
+        obs::counter("serve.failover.sidecar_write_errors", 1);
     }
+}
+
+/// Writes the tenant's IMSM sidecar (cadenced or on request) and marks
+/// the monitor snapshotted.
+fn write_sidecar(monitor: &mut ServeMonitor, shared: &TenantShared) -> Result<(), DetectorError> {
+    let t0 = Instant::now();
+    monitor.checkpoint_stream(&shared.spec.checkpoint)?;
+    monitor.mark_snapshotted();
+    obs::counter("serve.failover.sidecar_writes", 1);
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    obs::histogram("serve.failover.sidecar_write_ms", ms);
+    Ok(())
 }
 
 /// Answers same-batch duplicates from the reply cache once (if) their
@@ -1479,12 +1463,7 @@ fn run_batch(
 /// (admitted fresh if refused, answered by dedup if applied).
 fn answer_deferred(st: &SeqState, deferred: Vec<(u64, ReplyTx)>) {
     for (seq, sender) in deferred {
-        let cached = st
-            .cache
-            .iter()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, resp)| resp.clone());
-        sender.send(cached.unwrap_or_else(|| Response::Error {
+        sender.send(st.cached(seq).unwrap_or_else(|| Response::Error {
             code: ErrorCode::Interrupted,
             message: format!(
                 "duplicate of in-flight sequence id {seq} could not be answered \
@@ -1494,117 +1473,109 @@ fn answer_deferred(st: &SeqState, deferred: Vec<(u64, ReplyTx)>) {
     }
 }
 
+/// The post-batch control step: the regression sentinel, then the
+/// escalation router on the batch's drift edge (`drift_before` is the
+/// latch as `push_batch` found it). Every swap lands between batches, so
+/// that reading is exactly where the previous batch or swap left the
+/// latch. A rollback ends the step: its swap re-armed the latch against
+/// the restored detector, so the edge it leaves is the swap's doing, not
+/// the stream's.
+fn after_batch(
+    cfg: &ServeConfig,
+    slot: &mut Slot,
+    shared: &TenantShared,
+    drift_before: bool,
+    flags: &[bool],
+) {
+    if !observe_promotion(cfg, slot, shared, flags) {
+        route_escalation(slot, shared, drift_before);
+    }
+}
+
 /// Feeds the tenant's post-batch verdict stream to its regression
 /// sentinel. While a watch is active, the decision fires on **exactly**
 /// `regression_watch` post-swap verdicts — mid-batch if need be — so the
 /// outcome is independent of batch coalescing and thread count. A tripped
-/// watch swaps the archived incumbent back in, bumps the generation (the
-/// rollback is itself an atomic between-batches swap: no serving gap) and
-/// records a `RolledBack` verdict for the next `Reload` round-trip. Like every
-/// swap it resyncs the escalation router's drift latch.
+/// watch installs its archived target again (the rollback is itself an
+/// atomic between-batches swap: no serving gap) and records a
+/// `RolledBack` verdict for the next `Reload` round-trip. Returns whether
+/// it rolled back.
 fn observe_promotion(
     cfg: &ServeConfig,
-    monitor: &mut ServeMonitor,
-    promo: &mut PromoState,
-    esc: &mut EscState,
+    slot: &mut Slot,
     shared: &TenantShared,
     flags: &[bool],
-) {
+) -> bool {
+    let promo = &mut slot.promo;
+    let mut rolled_back = false;
     for &flag in flags {
-        let decided = match &mut promo.watch {
-            None => {
-                promo.recent.push_back(flag);
-                while promo.recent.len() > REGRESSION_BASELINE_WINDOW {
-                    promo.recent.pop_front();
-                }
-                None
+        let Some(w) = &mut promo.watch else {
+            promo.recent.push_back(flag);
+            while promo.recent.len() > REGRESSION_BASELINE_WINDOW {
+                promo.recent.pop_front();
             }
-            Some(w) => {
-                w.seen += 1;
-                w.anomalous += usize::from(flag);
-                (w.seen >= cfg.regression_watch).then_some((w.seen, w.anomalous, w.baseline))
-            }
-        };
-        let Some((seen, anomalous, baseline)) = decided else {
             continue;
         };
-        promo.watch = None;
+        w.seen += 1;
+        w.anomalous += usize::from(flag);
+        if w.seen < cfg.regression_watch {
+            continue;
+        }
+        let RegressionWatch {
+            baseline,
+            seen,
+            anomalous,
+            target,
+        } = promo.watch.take().expect("watch is armed");
         let rate = anomalous as f64 / seen as f64;
         let tripwire = (cfg.regression_factor * baseline).max(cfg.regression_min_rate);
         if rate <= tripwire {
-            // Promotion confirmed: the archive is no longer needed and
-            // the post-swap verdicts seed the next baseline.
-            shared
-                .rollback
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take();
+            // Promotion confirmed: the archived target goes with the
+            // watch and the post-swap verdicts seed the next baseline.
             obs::counter("serve.promotion.confirmed", 1);
             continue;
         }
-        let Some(prev) = shared
-            .rollback
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        else {
-            continue;
-        };
-        match prev.build().and_then(|det| monitor.swap_detector(det)) {
-            Ok(()) => {
-                let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        match target
+            .build()
+            .and_then(|det| install(&mut slot.monitor, shared, det, Some(target)))
+        {
+            Ok((generation, _)) => {
                 obs::counter("serve.promotion.rollbacks", 1);
                 let detail = format!(
                     "post-promotion regression: anomaly rate {rate:.3} over {seen} \
                      verdicts vs pre-swap baseline {baseline:.3}; archived incumbent \
                      restored as generation {generation}"
                 );
-                *shared.family.lock().unwrap_or_else(|e| e.into_inner()) =
-                    prev.kind().unwrap_or(shared.spec.family);
-                *shared.incumbent.lock().unwrap_or_else(|e| e.into_inner()) = Some(prev);
-                *shared.promo.lock().unwrap_or_else(|e| e.into_inner()) =
-                    (PromotionVerdict::RolledBack, detail);
-                *shared.health.lock().unwrap_or_else(|e| e.into_inner()) =
-                    monitor.health();
+                settle(shared, PromotionVerdict::RolledBack, detail, None);
                 promo.recent.clear();
-                // The swap cleared the drift latch; resync so the router
-                // does not read that as a regime settling.
-                esc.was_drifted = monitor.drift_status().drifted;
+                rolled_back = true;
             }
             Err(_) => obs::counter("serve.reload_errors", 1),
         }
     }
+    rolled_back
 }
 
-/// The escalation router: runs after every batch, edge-triggered on the
-/// monitor's debounced drift latch. A **trip** (the live distribution
-/// left the pinned rung's training envelope) swaps in the ladder apex —
-/// a regime change is exactly when the expensive model earns its cost. A
-/// **clear** re-runs the holdout evaluation so a tenant whose regime
-/// settled can de-escalate back to the cheapest adequate rung. Both
-/// repins persist the new rung's envelope as the canonical checkpoint
-/// (failover restores the pin) and bump the generation like any swap.
-///
-/// `swap_detector` resets the latch against the replacement's own drift
-/// reference, so `was_drifted` is resynced from the monitor after every
-/// repin rather than assumed.
-fn route_escalation(
-    monitor: &mut ServeMonitor,
-    promo: &mut PromoState,
-    esc: &mut EscState,
-    shared: &TenantShared,
-) {
+/// The escalation router: runs after every batch that did not roll back,
+/// edge-triggered on how the batch moved the monitor's debounced drift
+/// latch (`drift_before` before `push_batch`, the latch now after it). A
+/// **trip** (the live distribution left the pinned rung's training
+/// envelope) swaps in the ladder apex — a regime change is exactly when
+/// the expensive model earns its cost. A **clear** re-runs the holdout
+/// evaluation so a tenant whose regime settled can de-escalate back to
+/// the cheapest adequate rung. Both repins persist the new rung's
+/// envelope as the canonical checkpoint (failover restores the pin) and
+/// bump the generation like any swap.
+fn route_escalation(slot: &mut Slot, shared: &TenantShared, drift_before: bool) {
     let Some(ladder) = &shared.spec.escalation else {
         return;
     };
-    let drifted = monitor.drift_status().drifted;
-    let (was, now) = (esc.was_drifted, drifted);
-    esc.was_drifted = now;
-    if was == now {
+    let drifted = slot.monitor.drift_status().drifted;
+    if drifted == drift_before {
         return;
     }
-    let serving = monitor.detector().kind();
-    if now {
+    let serving = slot.monitor.detector().kind();
+    if drifted {
         let apex = ladder.rungs.last().expect("ladder validated non-empty");
         if serving == apex.kind {
             return;
@@ -1616,14 +1587,14 @@ fn route_escalation(
             shared.spec.channels,
             &apex.checkpoint,
         ) {
-            Ok(det) => repin(monitor, promo, esc, shared, det),
+            Ok(det) => repin(slot, shared, det),
             Err(_) => obs::counter("serve.escalation.errors", 1),
         }
     } else {
         match evaluate_and_choose(ladder, &shared.spec) {
             Ok(det) if det.kind() != serving => {
                 obs::counter("serve.escalation.deescalations", 1);
-                repin(monitor, promo, esc, shared, det);
+                repin(slot, shared, det);
             }
             Ok(_) => {}
             Err(_) => obs::counter("serve.escalation.errors", 1),
@@ -1631,56 +1602,51 @@ fn route_escalation(
     }
 }
 
-/// Swaps `det` in as the tenant's pinned rung: between-batches swap,
-/// generation bump, canonical-envelope persist (+ watcher stamp refresh
-/// so the rewrite is not reloaded), family/incumbent updates, and a
-/// sentinel reset — a family change invalidates both the regression
-/// baseline and any archived rollback target.
-fn repin(
-    monitor: &mut ServeMonitor,
-    promo: &mut PromoState,
-    esc: &mut EscState,
-    shared: &TenantShared,
-    det: AnyDetector,
-) {
-    let kind = det.kind();
-    match monitor.swap_detector(det) {
-        Ok(()) => {
-            shared.generation.fetch_add(1, Ordering::SeqCst);
+/// Installs `det` as the tenant's pinned rung, persists it as the
+/// canonical envelope (+ watcher stamp refresh so the rewrite is not
+/// reloaded), and resets the regression sentinel — a family change
+/// invalidates both the baseline and any armed watch with its archived
+/// target.
+fn repin(slot: &mut Slot, shared: &TenantShared, det: AnyDetector) {
+    let spec = det.to_spec().ok().map(Box::new);
+    match install(&mut slot.monitor, shared, det, spec) {
+        Ok(_) => {
             obs::counter("serve.escalation.repins", 1);
-            match monitor.detector().save(&shared.spec.checkpoint) {
+            match slot.monitor.detector().save(&shared.spec.checkpoint) {
                 Ok(()) => {
-                    *shared.reload_stamp.lock().unwrap_or_else(|e| e.into_inner()) =
-                        stamp(&shared.spec.checkpoint);
+                    *lock(&shared.reload_stamp) = stamp(&shared.spec.checkpoint);
                 }
                 // Serving continues on the new rung either way; only the
                 // failover pin is stale until the next successful write.
                 Err(_) => obs::counter("serve.escalation.persist_errors", 1),
             }
-            *shared.family.lock().unwrap_or_else(|e| e.into_inner()) = kind;
-            *shared.incumbent.lock().unwrap_or_else(|e| e.into_inner()) =
-                monitor.detector().to_spec().ok().map(Box::new);
-            shared
-                .rollback
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take();
-            *promo = PromoState::default();
-            *shared.health.lock().unwrap_or_else(|e| e.into_inner()) = monitor.health();
-            esc.was_drifted = monitor.drift_status().drifted;
+            slot.promo = PromoState::default();
         }
         Err(_) => obs::counter("serve.escalation.errors", 1),
     }
 }
 
-fn apply_cmd(
-    inner: &ServerInner,
-    monitors: &mut [Option<ServeMonitor>],
-    seqs: &mut [SeqState],
-    promos: &mut [PromoState],
-    escs: &mut [EscState],
-    cmd: ShardCmd,
-) {
+/// The one path that changes a live tenant's detector (promotion,
+/// rollback, escalation repin): swaps `det` in between batches, bumps
+/// the generation, and publishes the serving family, `incumbent` (what
+/// the validation gate compares candidates against) and fresh health —
+/// the swap re-arms or clears the drift latch. Returns the new
+/// generation and the incumbent it replaced.
+fn install(
+    monitor: &mut ServeMonitor,
+    shared: &TenantShared,
+    det: AnyDetector,
+    incumbent: Option<Box<AnySpec>>,
+) -> Result<(u64, Option<Box<AnySpec>>), DetectorError> {
+    monitor.swap_detector(det)?;
+    let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
+    *lock(&shared.family) = monitor.detector().kind();
+    let replaced = std::mem::replace(&mut *lock(&shared.incumbent), incumbent);
+    *lock(&shared.health) = monitor.health();
+    Ok((generation, replaced))
+}
+
+fn apply_cmd(inner: &ServerInner, slots: &mut [Option<Slot>], cmd: ShardCmd) {
     match cmd {
         ShardCmd::Swap {
             tenant,
@@ -1688,7 +1654,7 @@ fn apply_cmd(
             reply,
         } => {
             let shared = &inner.tenants[tenant];
-            let Some(monitor) = monitors[tenant].as_mut() else {
+            let Some(slot) = slots[tenant].as_mut() else {
                 // The tenant was never activated here (or a reload raced
                 // adoption): count and skip, never panic the shard.
                 obs::counter("serve.reload_errors", 1);
@@ -1703,102 +1669,49 @@ fn apply_cmd(
                 }
                 return;
             };
-            let kind = spec.kind();
-            match spec.build().and_then(|det| monitor.swap_detector(det)) {
-                Ok(()) => {
-                    let generation = shared.generation.fetch_add(1, Ordering::SeqCst) + 1;
+            match spec
+                .build()
+                .and_then(|det| install(&mut slot.monitor, shared, det, Some(spec)))
+            {
+                Ok((generation, replaced)) => {
                     obs::counter("serve.reloads", 1);
                     obs::counter("serve.promotion.promoted", 1);
-                    *shared.family.lock().unwrap_or_else(|e| e.into_inner()) =
-                        kind.unwrap_or(shared.spec.family);
-                    // The candidate is the new incumbent; archive the old
-                    // one and arm the regression watch over its baseline.
-                    let prev = shared
-                        .incumbent
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .replace(spec);
-                    if inner.cfg.regression_watch > 0 {
-                        if let Some(prev) = prev {
-                            promos[tenant].watch = Some(RegressionWatch {
-                                baseline: promos[tenant].baseline_rate(),
-                                seen: 0,
-                                anomalous: 0,
-                            });
-                            promos[tenant].recent.clear();
-                            *shared.rollback.lock().unwrap_or_else(|e| e.into_inner()) =
-                                Some(prev);
-                        }
+                    // The candidate is the new incumbent; arm the
+                    // regression watch over the old one's baseline, with
+                    // the old one as its rollback target.
+                    if let Some(target) = replaced.filter(|_| inner.cfg.regression_watch > 0) {
+                        let promo = &mut slot.promo;
+                        promo.watch = Some(RegressionWatch {
+                            baseline: promo.baseline_rate(),
+                            seen: 0,
+                            anomalous: 0,
+                            target,
+                        });
+                        promo.recent.clear();
                     }
                     let detail =
                         format!("promoted candidate is serving as generation {generation}");
-                    *shared.promo.lock().unwrap_or_else(|e| e.into_inner()) =
-                        (PromotionVerdict::Promoted, detail.clone());
-                    // The swap may have re-armed or cleared the drift
-                    // latch; publish the fresh health immediately, and
-                    // resync the escalation router's edge detector.
-                    *shared.health.lock().unwrap_or_else(|e| e.into_inner()) =
-                        monitor.health();
-                    escs[tenant].was_drifted = monitor.drift_status().drifted;
-                    if let Some(tx) = reply {
-                        tx.send(Response::ReloadStatus {
-                            generation,
-                            verdict: PromotionVerdict::Promoted,
-                            detail,
-                            family: family_name(shared),
-                        });
-                    }
+                    settle(shared, PromotionVerdict::Promoted, detail, reply);
                 }
                 Err(e) => {
                     obs::counter("serve.reload_errors", 1);
                     obs::counter("serve.promotion.rejected_corrupt", 1);
                     let msg = format!("swap refused for {}: {e}", shared.spec.id);
-                    *shared.promo.lock().unwrap_or_else(|e| e.into_inner()) =
-                        (PromotionVerdict::RejectedCorrupt, msg.clone());
-                    if let Some(tx) = reply {
-                        tx.send(Response::ReloadStatus {
-                            generation: shared.generation.load(Ordering::SeqCst),
-                            verdict: PromotionVerdict::RejectedCorrupt,
-                            detail: msg,
-                            family: family_name(shared),
-                        });
-                    }
+                    settle(shared, PromotionVerdict::RejectedCorrupt, msg, reply);
                 }
             }
         }
         ShardCmd::Adopt { tenant, reply } => {
             let shared = &inner.tenants[tenant];
-            if monitors[tenant].is_some() {
+            if slots[tenant].is_some() {
                 reply.send(Response::Ok); // idempotent
                 return;
             }
-            match load_monitor(&shared.spec, inner.cfg.snapshot_every) {
-                Ok(monitor) => {
-                    *shared.health.lock().unwrap_or_else(|e| e.into_inner()) =
-                        monitor.health();
-                    *shared
-                        .reload_stamp
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner()) =
-                        stamp(&shared.spec.checkpoint);
-                    // The freshly adopted detector is this replica's
-                    // incumbent; any promotion history belongs to the
-                    // dead replica and is discarded with it.
-                    *shared.incumbent.lock().unwrap_or_else(|e| e.into_inner()) =
-                        monitor.detector().to_spec().ok().map(Box::new);
-                    *shared.family.lock().unwrap_or_else(|e| e.into_inner()) =
-                        monitor.detector().kind();
-                    shared
-                        .rollback
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take();
-                    promos[tenant] = PromoState::default();
-                    escs[tenant] = EscState {
-                        was_drifted: monitor.drift_status().drifted,
-                    };
-                    monitors[tenant] = Some(monitor);
-                    seqs[tenant] = SeqState::default();
+            // A fresh slot: any promotion history belongs to the dead
+            // replica and is discarded with it.
+            match activate(shared, inner.cfg.snapshot_every) {
+                Ok(slot) => {
+                    slots[tenant] = Some(slot);
                     shared.active.store(true, Ordering::SeqCst);
                     obs::counter("serve.failover.adoptions", 1);
                     reply.send(Response::Ok);
@@ -1813,7 +1726,7 @@ fn apply_cmd(
         }
         ShardCmd::Snapshot { tenant, reply } => {
             let shared = &inner.tenants[tenant];
-            let Some(monitor) = monitors[tenant].as_mut() else {
+            let Some(Slot { monitor, .. }) = slots[tenant].as_mut() else {
                 reply.send(Response::Error {
                     code: ErrorCode::Unavailable,
                     message: format!(
@@ -1823,24 +1736,13 @@ fn apply_cmd(
                 });
                 return;
             };
-            let t0 = Instant::now();
-            match monitor.checkpoint_stream(&shared.spec.checkpoint) {
-                Ok(()) => {
-                    monitor.mark_snapshotted();
-                    obs::counter("serve.failover.sidecar_writes", 1);
-                    obs::histogram(
-                        "serve.failover.sidecar_write_ms",
-                        t0.elapsed().as_secs_f64() * 1e3,
-                    );
-                    reply.send(Response::Ok);
-                }
-                Err(e) => {
-                    reply.send(Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("snapshot of {} failed: {e}", shared.spec.id),
-                    });
-                }
-            }
+            reply.send(match write_sidecar(monitor, shared) {
+                Ok(()) => Response::Ok,
+                Err(e) => Response::Error {
+                    code: ErrorCode::Internal,
+                    message: format!("snapshot of {} failed: {e}", shared.spec.id),
+                },
+            });
         }
     }
 }
@@ -1935,11 +1837,7 @@ fn event_loop_main(inner: Arc<ServerInner>, listener: TcpListener) {
                         }
                         obs::counter("serve.connections", 1);
                         if let Ok(clone) = stream.try_clone() {
-                            inner
-                                .conn_streams
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push(clone);
+                            lock(&inner.conn_streams).push(clone);
                         }
                         if let Ok(conn) = Conn::new(stream, next_id) {
                             conns.insert(next_id, conn);
@@ -2078,14 +1976,10 @@ fn process_frames(inner: &Arc<ServerInner>, completions: &Arc<Completions>, c: &
 fn close_conn(inner: &ServerInner, c: Conn) {
     let _ = c.stream.shutdown(std::net::Shutdown::Both);
     let peer = c.peer;
-    inner
-        .conn_streams
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .retain(|s| match s.peer_addr() {
-            Ok(a) => Some(a) != peer,
-            Err(_) => false, // already dead — drop it too
-        });
+    lock(&inner.conn_streams).retain(|s| match s.peer_addr() {
+        Ok(a) => Some(a) != peer,
+        Err(_) => false, // already dead — drop it too
+    });
 }
 
 /// Routes one request. Cheap requests answer through `reply` inline
@@ -2132,7 +2026,7 @@ fn dispatch(inner: &Arc<ServerInner>, req: Request, reply: ReplyTx) {
                 // thread; the shard answers through `reply` when done.
                 let shard = &inner.shards[shared.shard];
                 {
-                    let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut q = lock(&shard.q);
                     q.cmds.push(ShardCmd::Adopt { tenant: idx, reply });
                 }
                 shard.cv.notify_all();
@@ -2155,7 +2049,7 @@ fn dispatch(inner: &Arc<ServerInner>, req: Request, reply: ReplyTx) {
                 }
                 let shard = &inner.shards[shared.shard];
                 {
-                    let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut q = lock(&shard.q);
                     q.cmds.push(ShardCmd::Snapshot { tenant: idx, reply });
                 }
                 shard.cv.notify_all();
@@ -2227,7 +2121,7 @@ fn dispatch(inner: &Arc<ServerInner>, req: Request, reply: ReplyTx) {
             shared.queue_depth.fetch_add(1, Ordering::SeqCst);
             let shard = &inner.shards[shared.shard];
             {
-                let mut q = shard.q.lock().unwrap_or_else(|e| e.into_inner());
+                let mut q = lock(&shard.q);
                 q.jobs.push_back(job);
             }
             shard.cv.notify_all();
@@ -2257,7 +2151,7 @@ fn watcher_main(inner: Arc<ServerInner>, poll: Duration) {
             }
             let now = stamp(&t.spec.checkpoint);
             let changed = {
-                let guard = t.reload_stamp.lock().unwrap_or_else(|e| e.into_inner());
+                let guard = lock(&t.reload_stamp);
                 now.is_some() && *guard != now
             };
             if changed {
@@ -2447,13 +2341,7 @@ impl Server {
         for shard in &self.inner.shards {
             shard.cv.notify_all();
         }
-        let streams = std::mem::take(
-            &mut *self
-                .inner
-                .conn_streams
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
+        let streams = std::mem::take(&mut *lock(&self.inner.conn_streams));
         for s in streams {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
@@ -2479,13 +2367,7 @@ impl Server {
     /// supervisor must fence before re-placing tenants.
     pub fn isolate(&self) {
         self.inner.isolated.store(true, Ordering::SeqCst);
-        let streams = std::mem::take(
-            &mut *self
-                .inner
-                .conn_streams
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
+        let streams = std::mem::take(&mut *lock(&self.inner.conn_streams));
         for s in streams {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
@@ -2495,6 +2377,9 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imdiff_data::synthetic::{generate, Benchmark, LabeledDataset as Dataset, SizeProfile};
+    use imdiff_data::Detector;
+    use DetectorKind::{IForest, ZScore};
 
     #[test]
     fn tenants_of_each_family_spread_over_the_shards() {
@@ -2520,11 +2405,8 @@ mod tests {
         assert_eq!(place_tenants([ZScore, IForest, ZScore], 1), [0, 0, 0]);
     }
 
-    #[test]
-    fn rollback_of_a_drifted_tenant_does_not_deescalate() {
-        use imdiff_data::synthetic::{generate, Benchmark, SizeProfile};
-        use imdiff_data::Detector;
-
+    /// A small seeded series and a config with a 16-row serving window.
+    fn fixture() -> (Dataset, ImDiffusionConfig) {
         let ds = generate(
             Benchmark::Gcp,
             &SizeProfile {
@@ -2533,79 +2415,193 @@ mod tests {
             },
             3,
         );
-        let k = ds.train.dim();
         let cfg = ImDiffusionConfig {
             window: 16,
             ..ImDiffusionConfig::quick()
         };
-        let fitted = |kind| {
-            let mut det = AnyDetector::new(kind, cfg.clone(), 5);
-            det.fit(&ds.train).unwrap();
-            det
-        };
+        (ds, cfg)
+    }
+
+    fn fitted(kind: DetectorKind, ds: &Dataset, cfg: &ImDiffusionConfig) -> AnyDetector {
+        let mut det = AnyDetector::new(kind, cfg.clone(), 5);
+        det.fit(&ds.train).unwrap();
+        det
+    }
+
+    /// A tenant whose ladder holds `rungs`, each fitted and saved under
+    /// `dir`, with a 48-row labeled holdout.
+    fn laddered_tenant(
+        dir: &std::path::Path,
+        family: DetectorKind,
+        rungs: &[DetectorKind],
+        ds: &Dataset,
+        cfg: &ImDiffusionConfig,
+    ) -> TenantSpec {
+        std::fs::create_dir_all(dir).unwrap();
+        let rungs = rungs
+            .iter()
+            .map(|&kind| {
+                let checkpoint = dir.join(format!("{kind}.imde"));
+                fitted(kind, ds, cfg).save(&checkpoint).unwrap();
+                RungSpec { kind, checkpoint }
+            })
+            .collect();
+        TenantSpec {
+            id: "t".into(),
+            checkpoint: dir.join("canonical.imde"),
+            cfg: cfg.clone(),
+            seed: 5,
+            channels: ds.train.dim(),
+            hop: 4,
+            holdout: None,
+            drift_policy: Some((2.0, 1)),
+            family,
+            escalation: Some(EscalationSpec {
+                rungs,
+                f1_tolerance: 0.0,
+                holdout_rows: (0..48).map(|l| ds.test.row(l).to_vec()).collect(),
+                holdout_labels: ds.labels[..48].to_vec(),
+            }),
+        }
+    }
+
+    /// A drift-armed monitor around `det` with no verdicts yet.
+    fn armed_slot(det: AnyDetector, k: usize) -> Slot {
+        let mut monitor = StreamingMonitor::new(det, k, 4).unwrap();
+        assert!(monitor.set_drift_policy(2.0, 1));
+        Slot {
+            monitor,
+            seq: SeqState::default(),
+            promo: PromoState::default(),
+        }
+    }
+
+    /// Rows far outside the training range: trips the drift latch.
+    fn push_drifting_rows(slot: &mut Slot, ds: &Dataset) -> Vec<bool> {
+        let mut flags = Vec::new();
+        for l in 0..64 {
+            let row: Vec<f32> = ds.test.row(l).iter().map(|v| v + 50.0).collect();
+            flags.extend(slot.monitor.push(&row).unwrap().iter().map(|v| v.anomalous));
+        }
+        flags
+    }
+
+    #[test]
+    fn rollback_of_a_drifted_tenant_does_not_deescalate() {
+        let (ds, cfg) = fixture();
+        let k = ds.train.dim();
         // The tenant served ZScore, promoted IForest, and its ladder's
         // only rung is IForest: any ladder re-run would repin IForest.
         let dir = std::env::temp_dir().join(format!("imdf-rollback-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rung = dir.join("iforest.imde");
-        fitted(DetectorKind::IForest).save(&rung).unwrap();
         let shared = TenantShared::new(
-            TenantSpec {
-                id: "t".into(),
-                checkpoint: dir.join("canonical.imde"),
-                cfg: cfg.clone(),
-                seed: 5,
-                channels: k,
-                hop: 4,
-                holdout: None,
-                drift_policy: Some((2.0, 1)),
-                family: DetectorKind::ZScore,
-                escalation: Some(EscalationSpec {
-                    rungs: vec![RungSpec {
-                        kind: DetectorKind::IForest,
-                        checkpoint: rung,
-                    }],
-                    f1_tolerance: 0.0,
-                    holdout_rows: (0..48).map(|l| ds.test.row(l).to_vec()).collect(),
-                    holdout_labels: ds.labels[..48].to_vec(),
-                }),
-            },
+            laddered_tenant(&dir, ZScore, &[IForest], &ds, &cfg),
             0,
             true,
         );
-        *shared.rollback.lock().unwrap() =
-            Some(Box::new(fitted(DetectorKind::ZScore).to_spec().unwrap()));
 
         // The promoted IForest drifts: rows far outside its training range.
-        let mut monitor = StreamingMonitor::new(fitted(DetectorKind::IForest), k, 4).unwrap();
-        assert!(monitor.set_drift_policy(2.0, 1));
-        for l in 0..64 {
-            let row: Vec<f32> = ds.test.row(l).iter().map(|v| v + 50.0).collect();
-            monitor.push(&row).unwrap();
-        }
-        assert!(monitor.drift_status().drifted);
-        let mut esc = EscState { was_drifted: true };
+        let mut slot = armed_slot(fitted(IForest, &ds, &cfg), k);
+        push_drifting_rows(&mut slot, &ds);
+        let drift_before = slot.monitor.drift_status().drifted;
+        assert!(drift_before);
 
         // Its regression watch trips on the next verdict.
         let serve = ServeConfig::default();
-        let mut promo = PromoState {
-            recent: VecDeque::new(),
-            watch: Some(RegressionWatch {
-                baseline: 0.0,
-                seen: serve.regression_watch - 1,
-                anomalous: serve.regression_watch - 1,
-            }),
-        };
+        slot.promo.watch = Some(RegressionWatch {
+            baseline: 0.0,
+            seen: serve.regression_watch - 1,
+            anomalous: serve.regression_watch - 1,
+            target: Box::new(fitted(ZScore, &ds, &cfg).to_spec().unwrap()),
+        });
         obs::set_enabled(true);
         let evaluations = || obs::snapshot().counter("serve.escalation.evaluations");
         let before = evaluations();
-        observe_promotion(&serve, &mut monitor, &mut promo, &mut esc, &shared, &[true]);
-        route_escalation(&mut monitor, &mut promo, &mut esc, &shared);
+        after_batch(&serve, &mut slot, &shared, drift_before, &[true]);
         std::fs::remove_dir_all(&dir).ok();
 
-        assert_eq!(monitor.detector().kind(), DetectorKind::ZScore);
-        assert_eq!(*shared.family.lock().unwrap(), DetectorKind::ZScore);
+        assert_eq!(slot.monitor.detector().kind(), ZScore);
+        assert_eq!(*shared.family.lock().unwrap(), ZScore);
         assert_eq!(shared.promo.lock().unwrap().0, PromotionVerdict::RolledBack);
         assert_eq!(evaluations(), before, "the rollback re-ran the ladder");
+    }
+
+    #[test]
+    fn drift_trip_during_a_regression_watch_repins_and_disarms_it() {
+        let (ds, cfg) = fixture();
+        let k = ds.train.dim();
+        // ZScore was just promoted over an archived ZScore incumbent; the
+        // ladder's apex is IForest.
+        let dir = std::env::temp_dir().join(format!("imdf-watch-trip-{}", std::process::id()));
+        let shared = TenantShared::new(
+            laddered_tenant(&dir, ZScore, &[ZScore, IForest], &ds, &cfg),
+            0,
+            true,
+        );
+        let mut slot = armed_slot(fitted(ZScore, &ds, &cfg), k);
+        let serve = ServeConfig {
+            regression_watch: 128,
+            ..ServeConfig::default()
+        };
+        slot.promo.watch = Some(RegressionWatch {
+            baseline: 0.0,
+            seen: 0,
+            anomalous: 0,
+            target: Box::new(fitted(ZScore, &ds, &cfg).to_spec().unwrap()),
+        });
+
+        // One batch trips the drift latch while the watch is still open.
+        let drift_before = slot.monitor.drift_status().drifted;
+        assert!(!drift_before);
+        let flags = push_drifting_rows(&mut slot, &ds);
+        assert!(slot.monitor.drift_status().drifted);
+        assert!(flags.len() < serve.regression_watch, "watch still open");
+        after_batch(&serve, &mut slot, &shared, drift_before, &flags);
+
+        // The apex repin disarmed the watch and dropped its target.
+        assert_eq!(slot.monitor.detector().kind(), IForest);
+        assert!(slot.promo.watch.is_none());
+        let generation = || shared.generation.load(Ordering::SeqCst);
+        assert_eq!(generation(), 2);
+
+        // A full watch's worth of anomalous verdicts rolls nothing back.
+        let drift_before = slot.monitor.drift_status().drifted;
+        let anomalous_run = vec![true; 2 * serve.regression_watch];
+        after_batch(&serve, &mut slot, &shared, drift_before, &anomalous_run);
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(slot.monitor.detector().kind(), IForest);
+        assert_eq!(*shared.family.lock().unwrap(), IForest);
+        assert_eq!(shared.promo.lock().unwrap().0, PromotionVerdict::NoAttempt);
+        assert_eq!(generation(), 2, "one repin, no rollback");
+    }
+
+    #[test]
+    fn a_corrupt_canonical_pin_is_counted_and_rechosen() {
+        let (ds, cfg) = fixture();
+        let dir = std::env::temp_dir().join(format!("imdf-corrupt-pin-{}", std::process::id()));
+        let spec = laddered_tenant(&dir, ZScore, &[ZScore], &ds, &cfg);
+        obs::set_enabled(true);
+        let corrupt_pins = || {
+            obs::snapshot()
+                .counter("serve.escalation.corrupt_pins")
+                .unwrap_or(0)
+        };
+
+        // A missing pin is a first activation, not a corruption.
+        let before = corrupt_pins();
+        assert_eq!(load_or_escalate(&spec).unwrap().kind(), ZScore);
+        assert_eq!(corrupt_pins(), before);
+
+        // A truncated pin still re-chooses, is counted once, and the
+        // re-chosen pin is persisted whole; a deleted one is not counted.
+        let bytes = std::fs::read(&spec.checkpoint).unwrap();
+        std::fs::write(&spec.checkpoint, &bytes[..bytes.len() / 2]).unwrap();
+        assert_eq!(load_or_escalate(&spec).unwrap().kind(), ZScore);
+        assert_eq!(corrupt_pins(), before + 1);
+        assert_eq!(std::fs::read(&spec.checkpoint).unwrap(), bytes);
+        std::fs::remove_file(&spec.checkpoint).unwrap();
+        assert_eq!(load_or_escalate(&spec).unwrap().kind(), ZScore);
+        assert_eq!(corrupt_pins(), before + 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
